@@ -335,9 +335,8 @@ def cmd_ospt(args) -> int:
     if not 2 <= args.max_n <= cap:
         raise UsageError(f"--max-n must be in 2..{cap} for methods {','.join(methods)}")
     values: dict[str, dict[int, int]] = {m: {} for m in methods}
-    if "moments" in methods or "tau" in methods:
-        table = tables.build(args.max_n)
     if "moments" in methods:
+        table = _build_table(args.max_n, "enumerated")
         for n in range(1, args.max_n + 1):
             values["moments"][n] = table.ospt_moments(n)
     if "tau" in methods:

@@ -18,8 +18,11 @@ table level only; `statistics.crank` still maps the partition (1) to
 
 Two builders with recorded provenance:
 
-* `build` streams every partition once per weight and tallies rank,
-  crank, rank-set membership, and the smallest-part count directly.
+* `build` streams the partitions of nmax once.  Splitting each into
+  its ones-free part mu and a block of ones meets every ones-free mu
+  of weight <= nmax exactly once, and the rank, crank, rank-set and
+  smallest-part count of mu + 1^omega follow from mu in closed form,
+  so that one pass tallies every row n <= nmax statistic by statistic.
   It is the required backend and the oracle for everything else.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
@@ -215,71 +218,110 @@ class StatTable:
 
 
 def build(nmax: int) -> StatTable:
-    """Tally every table cell by streaming the partitions of each weight.
+    """Tally every table cell from one pass over the partitions of nmax.
 
-    One pass per n computes the rank row, the crank row, the full
-    rank-set membership row, and the smallest-part total.  Rank-set
-    rows exploit the structure of the membership sequence: the scan of
-    parts exceeding 1 yields isolated members k - part(k), the block of
-    ones yields a contiguous run, and everything from the length upward
-    is a member (handled as prefix sums afterwards).
+    Every partition of n is mu + 1^omega with mu free of ones, and
+    writing each partition of nmax as mu + 1^omega0 meets every
+    ones-free mu of weight w <= nmax exactly once (w = nmax - omega0).
+    So the pass visits each mu once and credits it to all the rows
+    n = w + omega, w <= n <= nmax, in closed form.  With L = len(mu),
+    mu' its conjugate, and every count stored at index m + n:
+
+    * rank: mu_1 - L - omega, so index mu_1 - L + w for every omega
+      (for mu = () the row-n partition is 1^n, rank index 1: reading
+      mu_1 as the largest part of the partition of nmax, here 1, keeps
+      the one formula);
+    * crank: mu_1 at omega = 0 (index mu_1 + w); for omega >= 1 it is
+      mu'_(omega+1) - omega, index mu'_(omega+1) + w, which starts at
+      L + w and drops by one as omega reaches each part;
+    * spt: the multiplicity of the smallest part at omega = 0, and
+      omega otherwise;
+    * rank-set: the points k - mu_k (0-based k < L) for every omega,
+      plus [L, oo) at omega = 0 and, for omega >= 1, [L - 1, oo)
+      minus the single cell m = L - 1 + omega.  The ones block ends
+      one short of the tail, so the two never join into one interval;
+      the missing cell sits at the constant n - m = w - L + 1.
+
+    The pass records each contribution at the row where it starts (and,
+    for the crank, where it stops); one sweep over n sums them.
+
+    >>> build(4).crank_count(0, 4)
+    1
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    width = 2 * nmax + 1
+    q_off = nmax + 2  # rank-set cell m sits at m + q_off
+    # Indexed by the weight w of mu; w = 0 holds mu = () alone.
+    rank_at = [[0] * width for _ in range(nmax + 1)]        # by rank index
+    top_at = [[0] * (nmax + 1) for _ in range(nmax + 1)]    # by mu_1
+    length_at = [[0] * (nmax + 3) for _ in range(nmax + 1)]  # by L
+    points_at = [[0] * (width + 4) for _ in range(nmax + 1)]  # by k - mu_k
+    smallest_at = [0] * (nmax + 1)  # smallest-part multiplicities
+    # crank_step[n][c]: cranks in row n whose index drops from c + 1 to c
+    # (n = w + mu_k runs to 2 nmax; rows past nmax are never read)
+    crank_step = [[0] * (width + 1) for _ in range(2 * nmax + 1)]
+    for lam in enumerate_partitions(nmax):
+        ones = lam.count(1)
+        size = len(lam) - ones
+        w = nmax - ones
+        top = lam[0]
+        rank_at[w][top - size + w] += 1
+        top_at[w][top] += 1
+        length_at[w][size] += 1
+        smallest_at[w] += lam.count(lam[size - 1])
+        points = points_at[w]
+        for k in range(size):
+            v = lam[k]
+            points[k - v + q_off] += 1
+            crank_step[w + v][w + k] += 1
+
     rank_rows: list = [None]
     crank_rows: list = [None]
     q_rows: list = [None]
     spt_tallies: list = [None]
-    for n in range(1, nmax + 1):
-        off = n + 2
-        rank_row = [0] * (2 * n + 1)
-        crank_row = [0] * (2 * n + 1)
-        q_point = [0] * (2 * n + 5)
-        q_block = [0] * (2 * n + 5)
-        tail_at = [0] * (n + 1)
-        spt_total = 0
-        for lam in enumerate_partitions(n):
-            length = len(lam)
-            rank_row[lam[0] - length + n] += 1
-            ones = 0
-            i = length - 1
-            while i >= 0 and lam[i] == 1:
-                ones += 1
-                i -= 1
-            h = length - 1 - ones  # index of last part > 1, -1 if all ones
-            big = 0
-            for k in range(h + 1):
-                v = lam[k]
-                if v > ones:
-                    big += 1
-                q_point[k - v + off] += 1
-            crank_row[(lam[0] if ones == 0 else big - ones) + n] += 1
-            q_block[h + off] += 1
-            q_block[length - 1 + off] -= 1
-            tail_at[length] += 1
-            if ones:
-                spt_total += ones
-            else:
-                smallest = lam[h]
-                r = h - 1
-                while r >= 0 and lam[r] == smallest:
-                    r -= 1
-                spt_total += h - r
+    # Running sums over the mu that contribute to row n.
+    rank_run = [0] * width
+    crank_run = [0] * (width + 1)  # omega >= 1 only
+    point_run = [0] * (width + 4)
+    tail_run = [0] * (nmax + 3)    # by the tail's first cell, to m = nmax + 2
+    gap_run = [0] * (nmax + 2)     # by n - m of the missing cell
+    with_ones = 0   # mu of weight < n: one partition of n with ones each
+    ones_total = 0  # spt summed over the partitions of n with ones
+    for n in range(nmax + 1):
+        rank_run = [a + b for a, b in zip(rank_run, rank_at[n])]
+        point_run = [a + b for a, b in zip(point_run, points_at[n])]
+        tail_run = [a + b for a, b in zip(tail_run, length_at[n])]
+        if n:
+            # omega = 1 for the mu of weight n - 1
+            for size, count in enumerate(length_at[n - 1]):
+                if count:
+                    crank_run[size + n - 1] += count
+                    point_run[size - 1 + q_off] += count
+                    gap_run[n - size] += count
+            with_ones += sum(rank_at[n - 1])
+            ones_total += with_ones
+        step = crank_step[n]
+        crank_run = [a + b - c for a, b, c in zip(crank_run, step, [0] + step)]
+        if not n:
+            continue
+        crank_row = crank_run[:2 * n + 1]
+        for top, count in enumerate(top_at[n]):
+            if count:
+                crank_row[top + n] += count
         if n == 1:
             crank_row = [WEIGHT_ONE_CRANK_ROW[m] for m in (-1, 0, 1)]
-        q_row = [0] * (2 * n + 5)
-        in_block = 0
-        tail_sum = 0
-        for idx in range(2 * n + 5):
-            in_block += q_block[idx]
-            v = idx - off
-            if 1 <= v <= n:
-                tail_sum += tail_at[v]
-            q_row[idx] = q_point[idx] + in_block + tail_sum
-        rank_rows.append(rank_row)
+        q_row = point_run[q_off - n - 2:q_off + n + 3]
+        in_tail = 0
+        for m in range(n + 3):
+            in_tail += tail_run[m]
+            q_row[m + n + 2] += in_tail
+        for d in range(1, n + 1):
+            q_row[2 * n + 2 - d] -= gap_run[d]
+        rank_rows.append(rank_run[:2 * n + 1])
         crank_rows.append(crank_row)
         q_rows.append(q_row)
-        spt_tallies.append(spt_total)
+        spt_tallies.append(smallest_at[n] + ones_total)
     return StatTable(nmax, rank_rows, crank_rows, q_rows, spt_tallies, "enumerated")
 
 

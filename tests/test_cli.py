@@ -175,6 +175,16 @@ def test_ospt_method_subset(capsys):
     assert code == 2
 
 
+def test_ospt_moments_capped_at_enumeration_range(capsys):
+    code, out, err = run(capsys, "ospt", "--max-n", "100", "--methods", "moments,genfun")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+    code, out, _ = run(capsys, "ospt", "--max-n", "100", "--methods", "genfun")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: AGREE"
+
+
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "rankcrank", "table", "--stat", "crank",

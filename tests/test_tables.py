@@ -4,7 +4,7 @@ import pytest
 
 from rankcrank import tables
 from rankcrank.partitions import enumerate_partitions, partition_count
-from rankcrank.statistics import crank, rank
+from rankcrank.statistics import crank, rank, rank_set_contains, smallest_part_count
 
 # spt and ospt reference values, small range
 SPT = [None, 1, 3, 5, 10, 14, 26, 35, 57, 80, 119]
@@ -45,6 +45,30 @@ def test_q_rows_small():
     # clamped outside the stored band
     assert t.q_count(-7, 4) == 0
     assert t.q_count(7, 4) == 5
+
+
+def test_build_matches_direct_tally():
+    t = tables.build(20)
+    for n in range(1, 21):
+        partitions = list(enumerate_partitions(n))
+        for m in range(-n, n + 1):
+            assert t.rank_count(m, n) == sum(rank(p) == m for p in partitions), (m, n)
+            expected = (tables.WEIGHT_ONE_CRANK_ROW[m] if n == 1
+                        else sum(crank(p) == m for p in partitions))
+            assert t.crank_count(m, n) == expected, (m, n)
+        for m in range(-n - 2, n + 3):
+            assert t.q_count(m, n) == sum(rank_set_contains(p, m) for p in partitions), (m, n)
+        assert t.spt_tally(n) == sum(smallest_part_count(p) for p in partitions), n
+
+
+def test_rows_do_not_depend_on_nmax():
+    small, large = tables.build(12), tables.build(25)
+    for n in range(1, 13):
+        assert small._rank[n] == large._rank[n], n
+        assert small._crank[n] == large._crank[n], n
+        assert small._q[n] == large._q[n], n
+        assert small._spt[n] == large._spt[n], n
+    assert [tables.build(1).crank_count(m, 1) for m in (-1, 0, 1)] == [1, -1, 1]
 
 
 def test_q_against_direct_count():
