@@ -9,7 +9,7 @@ floats appear only in informational asymptotic summaries.
 from .injections import SymbolClass, classify, pi, sigma, theta, theta1, theta2, theta3, verify_injections
 from .partitions import Partition, conjugate, enumerate_partitions, partition_count, partition_count_series
 from .qseries import TruncatedSeries, euler_inverse, euler_product, ospt_numerator, ospt_series, verify_genfun
-from .reordering import ReorderingMap, build_tau, ospt_via_tau, verify_reordering, verify_tau
+from .reordering import ReorderingMap, build_tau, ospt_via_tau, verify_reordering
 from .report import CheckRecorder, CheckResult, VerifyReport
 from .statistics import crank, ones_count, rank, rank_set_contains, smallest_part_count
 from .symbols import MDurfeeSymbol, format_symbol, from_symbol, parse_symbol, rank_at_least, rank_set_has_m, to_symbol
@@ -64,5 +64,4 @@ __all__ = [
     "verify_identities",
     "verify_injections",
     "verify_reordering",
-    "verify_tau",
 ]

@@ -5,11 +5,16 @@ to stdout; narration goes to stderr.  Exit codes: 0 when everything
 asked for passed, 1 when a verification or comparison failed, 2 for
 usage errors (bad flags, out-of-range parameters).
 
-Desk-scale ranges: the enumeration backend is supported through
-nmax = 60, the arithmetic backend through nmax = 100 (--extended or
---backend accelerated), the tau suite through 60, and the injection
-suite through 40.  `verify --suite all` clamps each component suite to
-its default range instead of erroring.
+Desk-scale ranges all live in `RANGES`: tables through n = 60 on the
+enumeration backend and n = 100 on the arithmetic one (--backend
+accelerated, or --extended, which also makes 100 the default); the tau
+suite from 2 through 60 (default 40), the injection suite from 2
+through 40 (default 30); `tau --n` 2..60, `inject --n` 1..80 with
+m >= 0; `ospt --max-n` from 2 (default 40) up to the smallest cap of
+the chosen methods: moments 60, tau 60, genfun 100.  `verify --suite
+all` clamps each table suite to its backend's cap, the tau suite to 40
+and the injection suite to 30, after checking every component's lower
+bound.  Anything outside these ranges exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from . import injections, qseries, reordering, tables
 from .report import VerifyReport
@@ -25,11 +31,57 @@ from .statistics import crank, rank
 from .symbols import format_symbol, parse_symbol, to_symbol
 
 SUITES = ("identities", "injections", "tau", "bounds", "genfun", "all")
-DEFAULT_RANGE = {"identities": 60, "bounds": 60, "genfun": 60, "tau": 40, "injections": 30}
+
+
+class Range(NamedTuple):
+    lowest: int
+    default: int | None
+    highest: int
+    highest_in_all: int | None = None  # the clamp under `verify --suite all`
+
+
+# (command or "verify <suite>", backend or ospt method) -> nmax range.  A
+# verify suite's backend is "extended" under --extended; a row keyed None
+# serves every backend.
+RANGES = {
+    ("table", "enumerated"): Range(1, None, 60),
+    ("table", "accelerated"): Range(1, None, 100),
+    ("verify identities", "enumerated"): Range(1, 60, 60, 60),
+    ("verify identities", "accelerated"): Range(1, 60, 100, 100),
+    ("verify identities", "extended"): Range(1, 100, 100, 100),
+    ("verify bounds", "enumerated"): Range(1, 60, 60, 60),
+    ("verify bounds", "accelerated"): Range(1, 60, 100, 100),
+    ("verify bounds", "extended"): Range(1, 100, 100, 100),
+    ("verify genfun", "enumerated"): Range(1, 60, 60, 60),
+    ("verify genfun", "accelerated"): Range(1, 60, 100, 100),
+    ("verify genfun", "extended"): Range(1, 100, 100, 100),
+    ("verify tau", None): Range(2, 40, 60, 40),
+    ("verify injections", None): Range(2, 30, 40, 30),
+    ("tau", None): Range(2, None, 60),
+    ("inject", None): Range(1, None, 80),
+    ("ospt", "moments"): Range(2, 40, 60),
+    ("ospt", "tau"): Range(2, 40, 60),
+    ("ospt", "genfun"): Range(2, 40, 100),
+}
 
 
 class UsageError(Exception):
     pass
+
+
+def _nmax(key: tuple[str, str | None], wanted: int | None, clamp: bool = False) -> int:
+    """`wanted` (the row's default when None), clamped under --suite all,
+    checked against the RANGES row for `key`."""
+    if key not in RANGES:
+        key = (key[0], None)
+    row = RANGES[key]
+    value = row.default if wanted is None else wanted
+    if clamp:
+        value = min(value, row.highest_in_all)
+    if not row.lowest <= value <= row.highest:
+        label = " ".join(part for part in key if part)
+        raise UsageError(f"{label} serves nmax {row.lowest}..{row.highest}, got {value}")
+    return value
 
 
 def _narrate(*parts) -> None:
@@ -56,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--nmax", type=int, default=None)
     p_verify.add_argument("--extended", action="store_true",
-                          help="raise the table-suite range to 100 (arithmetic backend)")
+                          help="run the table suites on the arithmetic backend, "
+                               "over its whole range by default")
     p_verify.add_argument("--backend", choices=("enumerated", "accelerated"), default=None)
 
     p_tau = sub.add_parser("tau", help="print the crank-to-rank re-ordering of weight n")
@@ -73,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="symbol text like '[2,1 | 1]_(3x2)'; default: first member")
 
     p_ospt = sub.add_parser("ospt", help="compare ospt(n) across computation routes")
-    p_ospt.add_argument("--max-n", type=int, default=40)
+    p_ospt.add_argument("--max-n", type=int, default=None)
     p_ospt.add_argument("--methods", type=str, default="moments,tau,genfun",
                         help="comma-separated subset of moments,tau,genfun")
     return parser
@@ -82,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 # -- table ---------------------------------------------------------------
 
 
-def _build_table(nmax: int, backend: str) -> tables.StatTable:
-    cap = 60 if backend == "enumerated" else 100
-    if not 1 <= nmax <= cap:
-        raise UsageError(f"nmax must be in 1..{cap} for the {backend} backend, got {nmax}")
-    builder = tables.build if backend == "enumerated" else tables.build_accelerated
-    return builder(nmax)
+def _table(nmax: int, backend: str, cache: dict) -> tables.StatTable:
+    """The `backend` table through nmax, built at most once per `cache`,
+    which lives for one invocation."""
+    key = (backend, _nmax(("table", backend), nmax))
+    if key not in cache:
+        cache[key] = (tables.build if backend == "enumerated"
+                      else tables.build_accelerated)(nmax)
+    return cache[key]
 
 
 def _table_rows(table: tables.StatTable, n: int, stat: str):
@@ -105,7 +160,7 @@ def _table_rows(table: tables.StatTable, n: int, stat: str):
 def cmd_table(args) -> int:
     single = args.n is not None
     nmax = args.n if single else args.nmax
-    table = _build_table(nmax, args.backend)
+    table = _table(nmax, args.backend, {})
     weights = [nmax] if single else range(1, nmax + 1)
     columns = {"rank": ("N",), "crank": ("M",), "both": ("N", "M")}[args.stat]
     if args.format == "csv":
@@ -146,71 +201,39 @@ def _suite_plan(args) -> list[str]:
     return list(SUITES[:-1]) if args.suite == "all" else [args.suite]
 
 
-def _effective_nmax(suite: str, args, clamp: bool) -> int:
-    base = DEFAULT_RANGE[suite]
-    cap = base
-    if suite in ("identities", "bounds", "genfun"):
-        cap = 100 if (args.extended or args.backend == "accelerated") else 60
-    elif suite == "tau":
-        cap = 60
-    elif suite == "injections":
-        cap = 40
-    if args.nmax is not None:
-        wanted = args.nmax
-    elif suite in ("identities", "bounds", "genfun") and args.extended:
-        wanted = cap
-    else:
-        wanted = base
-    if clamp:
-        return min(wanted, base if suite in ("tau", "injections") else cap)
-    if wanted > cap:
-        raise UsageError(f"suite {suite} supports nmax <= {cap}, got {wanted}")
-    lower = 2 if suite in ("tau", "injections") else 1
-    if wanted < lower:
-        raise UsageError(f"suite {suite} needs nmax >= {lower}, got {wanted}")
-    return wanted
-
-
 def _run_one_suite(suite: str, nmax: int, backend: str,
                    cache: dict) -> VerifyReport:
-    def shared_table(upto: int, which: str) -> tables.StatTable:
-        key = (which, upto)
-        if key not in cache:
-            cache[key] = (tables.build if which == "enumerated"
-                          else tables.build_accelerated)(upto)
-        return cache[key]
-
     if suite == "identities":
-        return tables.verify_identities(shared_table(nmax, backend))
+        return tables.verify_identities(_table(nmax, backend, cache))
     if suite == "bounds":
-        return tables.verify_bounds(shared_table(nmax, backend))
+        return tables.verify_bounds(_table(nmax, backend, cache))
     if suite == "injections":
         return injections.verify_injections(
-            mmax=6, nmax=nmax, table=shared_table(nmax, "enumerated"))
+            mmax=6, nmax=nmax, table=_table(nmax, "enumerated", cache))
     if suite == "tau":
         return reordering.verify_reordering(
-            nmax, table=shared_table(nmax, "enumerated"))
+            nmax, table=_table(nmax, "enumerated", cache))
     if suite == "genfun":
         return qseries.verify_genfun(
-            nmax, shared_table(min(nmax, 60) if backend == "enumerated" else nmax,
-                               backend),
-            tau_limit=min(nmax, 40))
+            nmax, _table(nmax, backend, cache),
+            tau_limit=min(nmax, RANGES[("verify tau", None)].default))
     raise AssertionError(suite)
 
 
 def cmd_verify(args) -> int:
     backend = args.backend
     if args.extended and backend == "enumerated":
-        raise UsageError("--extended needs the accelerated backend "
-                         "(the enumeration backend is supported through nmax = 60)")
+        raise UsageError("--extended needs the accelerated backend")
     if backend is None:
         backend = "accelerated" if args.extended else "enumerated"
-    clamp = args.suite == "all"
+    variant = "extended" if args.extended else backend
+    # every component is checked before the first suite runs
+    plan = {suite: _nmax((f"verify {suite}", variant), args.nmax, args.suite == "all")
+            for suite in _suite_plan(args)}
     started = time.monotonic()
     cache: dict = {}
     reports = []
-    for suite in _suite_plan(args):
-        nmax = _effective_nmax(suite, args, clamp)
+    for suite, nmax in plan.items():
         _narrate(f"running suite {suite} (nmax={nmax})...")
         reports.append(_run_one_suite(suite, nmax, backend, cache))
     if args.suite == "all":
@@ -239,8 +262,7 @@ def _parts_text(p) -> str:
 
 
 def cmd_tau(args) -> int:
-    if not 2 <= args.n <= 60:
-        raise UsageError(f"tau needs 2 <= n <= 60, got {args.n}")
+    _nmax(("tau", None), args.n)
     rmap = reordering.build_tau(args.n, args.seed_order)
     rows = [
         (lam, crank(lam), mu, rank(mu), crank(lam) - rank(mu))
@@ -281,10 +303,7 @@ def cmd_tau(args) -> int:
 def cmd_inject(args) -> int:
     if args.m < 0:
         raise UsageError("m must be >= 0")
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
-    if args.n > 80:
-        raise UsageError("inject demos are supported through n = 80")
+    _nmax(("inject", None), args.n)
     wanted = injections.SymbolClass[args.case]
     if args.symbol is not None:
         try:
@@ -331,24 +350,23 @@ def cmd_ospt(args) -> int:
     valid = ("moments", "tau", "genfun")
     if not methods or any(m not in valid for m in methods):
         raise UsageError(f"--methods must be a non-empty subset of {','.join(valid)}")
-    cap = 60 if "tau" in methods else 100
-    if not 2 <= args.max_n <= cap:
-        raise UsageError(f"--max-n must be in 2..{cap} for methods {','.join(methods)}")
+    # checked against every chosen method's row; the rows share one default
+    max_n = min(_nmax(("ospt", m), args.max_n) for m in methods)
     values: dict[str, dict[int, int]] = {m: {} for m in methods}
     if "moments" in methods:
-        table = _build_table(args.max_n, "enumerated")
-        for n in range(1, args.max_n + 1):
+        table = _table(max_n, "enumerated", {})
+        for n in range(1, max_n + 1):
             values["moments"][n] = table.ospt_moments(n)
     if "tau" in methods:
-        for n in range(2, args.max_n + 1):
+        for n in range(2, max_n + 1):
             values["tau"][n] = reordering.ospt_via_tau(reordering.build_tau(n))
     if "genfun" in methods:
-        series = qseries.ospt_series(args.max_n)
-        for n in range(1, args.max_n + 1):
+        series = qseries.ospt_series(max_n)
+        for n in range(1, max_n + 1):
             values["genfun"][n] = series[n]
     sys.stdout.write("n," + ",".join(methods) + "\n")
     agree = True
-    for n in range(1, args.max_n + 1):
+    for n in range(1, max_n + 1):
         cells = []
         present = []
         for m in methods:
@@ -361,7 +379,7 @@ def cmd_ospt(args) -> int:
             agree = False
         sys.stdout.write(f"{n}," + ",".join(cells) + "\n")
     sys.stdout.write(f"verdict: {'AGREE' if agree else 'DISAGREE'}\n")
-    _narrate(f"ospt routes {', '.join(methods)} compared through n = {args.max_n}")
+    _narrate(f"ospt routes {', '.join(methods)} compared through n = {max_n}")
     return 0 if agree else 1
 
 

@@ -36,10 +36,6 @@ class TruncatedSeries:
         self.coeffs = c
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls(order, [1])
 
@@ -116,21 +112,17 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={shown}{tail})"
 
 
-def one_minus_q_to(k: int, *, order: int) -> TruncatedSeries:
-    """The binomial 1 - q^k as a truncated series."""
-    return TruncatedSeries.monomial(0, 1, order=order) - TruncatedSeries.monomial(k, 1, order=order)
-
-
 def euler_product(order: int) -> TruncatedSeries:
     """prod_{k=1..order} (1 - q^k), the Euler product truncated at `order`.
 
-    Computed by literal multiplication; the pentagonal sparsity of the
-    result is a test oracle, not an input.
+    Computed by literal multiplication, one factor at a time in place;
+    the pentagonal sparsity of the result is a test oracle, not an input.
     """
-    acc = TruncatedSeries.one(order)
+    c = [1] + [0] * order
     for k in range(1, order + 1):
-        acc = acc * one_minus_q_to(k, order=order)
-    return acc
+        for i in range(order, k - 1, -1):
+            c[i] -= c[i - k]
+    return TruncatedSeries(order, c)
 
 
 def euler_inverse(order: int) -> TruncatedSeries:
@@ -154,15 +146,14 @@ def ospt_numerator(order: int) -> TruncatedSeries:
     within a term, the four monomials clip individually, so widening
     the bounds can never change a kept coefficient.
     """
-    acc = TruncatedSeries.zero(order)
+    c = [0] * (order + 1)
 
     def add_term(base: int, e1: int, e2: int) -> None:
-        # q^base (1 - q^e1)(1 - q^e2), clipped to the order
-        nonlocal acc
-        acc += TruncatedSeries.monomial(base, 1, order=order)
-        acc -= TruncatedSeries.monomial(base + e1, 1, order=order)
-        acc -= TruncatedSeries.monomial(base + e2, 1, order=order)
-        acc += TruncatedSeries.monomial(base + e1 + e2, 1, order=order)
+        # q^base (1 - q^e1)(1 - q^e2), each monomial clipped to the order
+        for exponent, sign in ((base, 1), (base + e1, -1), (base + e2, -1),
+                               (base + e1 + e2, 1)):
+            if exponent <= order:
+                c[exponent] += sign
 
     i = 0
     while 6 * i * i + 7 * i + 2 <= order:
@@ -178,7 +169,7 @@ def ospt_numerator(order: int) -> TruncatedSeries:
             add_term(base, 2 * i + 1, 4 * i + 2 * j + 2)
             j += 1
         i += 1
-    return acc
+    return TruncatedSeries(order, c)
 
 
 def ospt_series(order: int) -> TruncatedSeries:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rankcrank import partitions, qseries, reordering, tables
 from rankcrank.cli import main
 from rankcrank.report import VerifyReport
 
@@ -183,6 +184,55 @@ def test_ospt_moments_capped_at_enumeration_range(capsys):
     code, out, _ = run(capsys, "ospt", "--max-n", "100", "--methods", "genfun")
     assert code == 0
     assert out.splitlines()[-1] == "verdict: AGREE"
+
+
+VERIFY = ("verify", "--suite")
+TABLE_SUITE_EDGES = [
+    (*VERIFY, suite, "--nmax", nmax, *flags)
+    for suite in ("identities", "bounds", "genfun")
+    for flags, edges in (((), ("0", "61")),
+                         (("--backend", "accelerated"), ("0", "101")),
+                         (("--extended",), ("0", "101")))
+    for nmax in edges
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--nmax", "0"),
+    ("table", "--n", "61"),
+    ("table", "--nmax", "0", "--backend", "accelerated"),
+    ("table", "--n", "101", "--backend", "accelerated"),
+    *TABLE_SUITE_EDGES,
+    (*VERIFY, "tau", "--nmax", "1"),
+    (*VERIFY, "tau", "--nmax", "61"),
+    (*VERIFY, "injections", "--nmax", "1"),
+    (*VERIFY, "injections", "--nmax", "41"),
+    (*VERIFY, "identities", "--extended", "--backend", "enumerated"),
+    (*VERIFY, "all", "--nmax", "1"),
+    (*VERIFY, "all", "--nmax", "0"),
+    (*VERIFY, "all", "--nmax", "-3"),
+    ("tau", "--n", "1"),
+    ("tau", "--n", "61"),
+    ("inject", "--m", "0", "--n", "0", "--case", "P2"),
+    ("inject", "--m", "0", "--n", "81", "--case", "P2"),
+    ("inject", "--m", "-1", "--n", "5", "--case", "P2"),
+    ("ospt", "--max-n", "1"),
+    ("ospt", "--max-n", "61"),
+    ("ospt", "--max-n", "61", "--methods", "moments"),
+    ("ospt", "--max-n", "61", "--methods", "tau"),
+    ("ospt", "--max-n", "101", "--methods", "genfun"),
+], ids=" ".join)
+def test_out_of_range_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError(f"{' '.join(argv)} started work before its range check")
+
+    for module, name in ((tables, "build"), (tables, "build_accelerated"),
+                         (reordering, "build_tau"), (qseries, "ospt_series"),
+                         (partitions, "enumerate_partitions")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
 
 
 def test_console_script_subprocess():

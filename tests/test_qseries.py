@@ -5,7 +5,6 @@ from rankcrank.qseries import (
     TruncatedSeries,
     euler_inverse,
     euler_product,
-    one_minus_q_to,
     ospt_numerator,
     ospt_series,
     verify_genfun,
@@ -29,11 +28,11 @@ def test_construction_and_padding():
 
 
 def test_zero_one_monomial():
-    assert TruncatedSeries.zero(3).coeffs == [0, 0, 0, 0]
+    assert TruncatedSeries(3).coeffs == [0, 0, 0, 0]
     assert TruncatedSeries.one(3).coeffs == [1, 0, 0, 0]
     assert TruncatedSeries.monomial(2, -1, order=3).coeffs == [0, 0, -1, 0]
     # beyond the order the monomial is silently zero: loop bounds may overshoot
-    assert TruncatedSeries.monomial(9, order=3) == TruncatedSeries.zero(3)
+    assert TruncatedSeries.monomial(9, order=3) == TruncatedSeries(3)
     with pytest.raises(ValueError):
         TruncatedSeries.monomial(-1, order=3)
 
@@ -70,12 +69,7 @@ def test_inverse():
     with pytest.raises(ValueError):
         TruncatedSeries(3, [2]).inverse()
     with pytest.raises(ValueError):
-        TruncatedSeries.zero(3).inverse()
-
-
-def test_one_minus_q_to():
-    assert one_minus_q_to(2, order=4).coeffs == [1, 0, -1, 0, 0]
-    assert one_minus_q_to(9, order=4).coeffs == [1, 0, 0, 0, 0]
+        TruncatedSeries(3).inverse()
 
 
 def test_euler_product_pentagonal_signs():

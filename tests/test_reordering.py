@@ -8,7 +8,6 @@ from rankcrank.reordering import (
     fixed_point_check,
     ospt_via_tau,
     verify_reordering,
-    verify_tau,
 )
 from rankcrank.statistics import crank, rank
 
@@ -102,11 +101,6 @@ def test_apply_rejects_wrong_weight():
     rmap = build_tau(5)
     with pytest.raises(KeyError):
         rmap.apply(Partition([4]))
-
-
-def test_verify_tau_single_weight():
-    rep = verify_tau(build_tau(12))
-    assert rep.ok
 
 
 def test_verify_reordering_suite(table30):
