@@ -15,6 +15,8 @@ the chosen methods: moments 60, tau 60, genfun 100.  `verify --suite
 all` clamps each table suite to its backend's cap, the tau suite to 40
 and the injection suite to 30, after checking every component's lower
 bound.  Anything outside these ranges exits 2 before any work starts.
+One enumeration table per `verify` run, at the largest nmax any
+component needs from it, serves the injection and tau suites too.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import NamedTuple
 
 from . import injections, qseries, reordering, tables
 from .report import VerifyReport
-from .statistics import crank, rank
 from .symbols import format_symbol, parse_symbol, to_symbol
 
 SUITES = ("identities", "injections", "tau", "bounds", "genfun", "all")
@@ -201,18 +202,20 @@ def _suite_plan(args) -> list[str]:
     return list(SUITES[:-1]) if args.suite == "all" else [args.suite]
 
 
-def _run_one_suite(suite: str, nmax: int, backend: str,
-                   cache: dict) -> VerifyReport:
+def _run_one_suite(suite: str, nmax: int, backend: str, cache: dict,
+                   enumerated_nmax: int) -> VerifyReport:
+    """Run one suite; injections and tau read the plan's one enumerated
+    table, whose rows n <= their nmax do not depend on its own nmax."""
     if suite == "identities":
         return tables.verify_identities(_table(nmax, backend, cache))
     if suite == "bounds":
         return tables.verify_bounds(_table(nmax, backend, cache))
     if suite == "injections":
         return injections.verify_injections(
-            mmax=6, nmax=nmax, table=_table(nmax, "enumerated", cache))
+            mmax=6, nmax=nmax, table=_table(enumerated_nmax, "enumerated", cache))
     if suite == "tau":
         return reordering.verify_reordering(
-            nmax, table=_table(nmax, "enumerated", cache))
+            nmax, table=_table(enumerated_nmax, "enumerated", cache))
     if suite == "genfun":
         return qseries.verify_genfun(
             nmax, _table(nmax, backend, cache),
@@ -230,12 +233,16 @@ def cmd_verify(args) -> int:
     # every component is checked before the first suite runs
     plan = {suite: _nmax((f"verify {suite}", variant), args.nmax, args.suite == "all")
             for suite in _suite_plan(args)}
+    # one enumeration table serves every component that reads one
+    enumerated_nmax = max(
+        (nmax for suite, nmax in plan.items()
+         if suite in ("injections", "tau") or backend == "enumerated"), default=None)
     started = time.monotonic()
     cache: dict = {}
     reports = []
     for suite, nmax in plan.items():
         _narrate(f"running suite {suite} (nmax={nmax})...")
-        reports.append(_run_one_suite(suite, nmax, backend, cache))
+        reports.append(_run_one_suite(suite, nmax, backend, cache, enumerated_nmax))
     if args.suite == "all":
         merged = VerifyReport(
             suite="all",
@@ -265,8 +272,8 @@ def cmd_tau(args) -> int:
     _nmax(("tau", None), args.n)
     rmap = reordering.build_tau(args.n, args.seed_order)
     rows = [
-        (lam, crank(lam), mu, rank(mu), crank(lam) - rank(mu))
-        for lam, mu in rmap.pairs
+        (lam, c, mu, r, c - r)
+        for (lam, mu), c, r in zip(rmap.pairs, rmap.cranks, rmap.ranks)
     ]
     if args.format == "json":
         payload = {

@@ -185,6 +185,11 @@ def theta(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     raise ValueError(f"theta needs rank >= -m + 1: {format_symbol(symbol)}")
 
 
+# the Q class each P class lands in under theta
+_MATCHING_Q = {SymbolClass.P1: SymbolClass.Q1, SymbolClass.P2: SymbolClass.Q2,
+               SymbolClass.P3: SymbolClass.Q3}
+
+
 def verify_injections(mmax: int, nmax: int, table=None) -> VerifyReport:
     """Exhaustively verify the injection machinery for 0 <= m <= mmax, 2 <= n <= nmax.
 
@@ -207,94 +212,75 @@ def verify_injections(mmax: int, nmax: int, table=None) -> VerifyReport:
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
         partitions = list(enumerate_partitions(n))
+        ranks = [rank(lam) for lam in partitions]
         for m in range(0, mmax + 1):
-            p_members: list[MDurfeeSymbol] = []
+            p_members: list[tuple[MDurfeeSymbol, SymbolClass]] = []
             q_members: list[MDurfeeSymbol] = []
-            for lam in partitions:
+            for lam, lam_rank in zip(partitions, ranks):
                 sym = to_symbol(lam, m)
-                in_p = rank(lam) >= -m + 1
+                in_p = lam_rank >= -m + 1
                 in_q = rank_set_contains(lam, m)
+                witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
                 rec.expect(
                     "predicates-match-statistics",
                     rank_at_least(sym) == in_p and rank_set_has_m(sym) == in_q,
-                    {"m": m, "n": n, "symbol": format_symbol(sym)},
+                    witness,
                 )
                 p_cls = classify(sym, "P")
                 q_cls = classify(sym, "Q")
-                rec.expect(
-                    "p-classification-covers",
-                    (p_cls is not None) == in_p,
-                    {"m": m, "n": n, "symbol": format_symbol(sym)},
-                )
-                rec.expect(
-                    "q-classification-covers",
-                    (q_cls is not None) == in_q,
-                    {"m": m, "n": n, "symbol": format_symbol(sym)},
-                )
+                rec.expect("p-classification-covers", (p_cls is not None) == in_p, witness)
+                rec.expect("q-classification-covers", (q_cls is not None) == in_q, witness)
                 if in_p:
-                    p_members.append(sym)
+                    p_members.append((sym, p_cls))
                 if in_q:
                     q_members.append(sym)
                 rec.expect(
                     "p1-equals-q1",
                     (p_cls is SymbolClass.P1) == (q_cls is SymbolClass.Q1),
-                    {"m": m, "n": n, "symbol": format_symbol(sym)},
+                    witness,
                 )
             images = []
-            for sym in p_members:
-                cls = classify(sym, "P")
+            for sym, cls in p_members:
                 image = theta(sym)
                 images.append(image)
-                rec.expect(
-                    "theta-preserves-weight",
-                    image.weight == sym.weight == n,
-                    {"m": m, "n": n, "symbol": format_symbol(sym)},
-                )
-                expected_q = SymbolClass["Q" + str(cls.index)]
+                witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
+                rec.expect("theta-preserves-weight", image.weight == sym.weight == n, witness)
                 rec.expect(
                     "theta-lands-in-matching-class",
-                    classify(image, "Q") is expected_q,
-                    {"m": m, "n": n, "symbol": format_symbol(sym),
-                     "image": format_symbol(image)},
+                    classify(image, "Q") is _MATCHING_Q[cls],
+                    lambda: {"m": m, "n": n, "symbol": format_symbol(sym),
+                             "image": format_symbol(image)},
                 )
                 if cls is SymbolClass.P2:
-                    rec.expect(
-                        "sigma-inverts-theta2",
-                        sigma(image) == sym,
-                        {"m": m, "n": n, "symbol": format_symbol(sym)},
-                    )
+                    rec.expect("sigma-inverts-theta2", sigma(image) == sym, witness)
                 elif cls is SymbolClass.P3:
                     rec.expect(
                         "theta3-image-marker",
                         len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1,
-                        {"m": m, "n": n, "image": format_symbol(image)},
+                        lambda: {"m": m, "n": n, "image": format_symbol(image)},
                     )
-                    rec.expect(
-                        "pi-inverts-theta3",
-                        pi(image) == sym,
-                        {"m": m, "n": n, "symbol": format_symbol(sym)},
-                    )
+                    rec.expect("pi-inverts-theta3", pi(image) == sym, witness)
             rec.expect(
                 "theta-injective",
                 len(set(images)) == len(images),
-                {"m": m, "n": n},
+                lambda: {"m": m, "n": n},
             )
             rec.expect(
                 "theta-image-in-q",
                 set(images) <= set(q_members),
-                {"m": m, "n": n},
+                lambda: {"m": m, "n": n},
             )
             gap = len(q_members) - len(p_members)
             rec.expect(
                 "count-gap-non-negative",
                 gap >= 0,
-                {"m": m, "n": n, "gap": gap},
+                lambda: {"m": m, "n": n, "gap": gap},
             )
             rec.expect(
                 "count-gap-matches-tables",
                 gap == table.q_count(m, n) - table.p_ge(-m + 1, n),
-                {"m": m, "n": n, "gap": gap,
-                 "q": table.q_count(m, n), "p_ge": table.p_ge(-m + 1, n)},
+                lambda: {"m": m, "n": n, "gap": gap,
+                         "q": table.q_count(m, n), "p_ge": table.p_ge(-m + 1, n)},
             )
     elapsed = int((time.monotonic() - started) * 1000)
     return VerifyReport(

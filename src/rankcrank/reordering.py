@@ -36,11 +36,14 @@ TIE_BREAKS = ("lex-descending", "lex-ascending")
 
 @dataclass
 class ReorderingMap:
-    """tau for one weight: pairs[i] = (lambda, tau(lambda)), crank-ascending."""
+    """tau for one weight: pairs[i] = (lambda, tau(lambda)), crank-ascending,
+    with cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda))."""
 
     n: int
     tie_break: str
     pairs: list[tuple[Partition, Partition]]
+    cranks: list[int] = field(repr=False)
+    ranks: list[int] = field(repr=False)
     _lookup: dict[Partition, Partition] | None = field(default=None, repr=False)
 
     def apply(self, partition: Partition) -> Partition:
@@ -48,6 +51,33 @@ class ReorderingMap:
         if self._lookup is None:
             self._lookup = {lam: mu for lam, mu in self.pairs}
         return self._lookup[Partition(partition)]
+
+
+_Listing = tuple[list[Partition], list[int], list[int]]
+
+
+def _listing(n: int) -> _Listing:
+    """The partitions of n in enumeration order, with their cranks and ranks."""
+    partitions = list(enumerate_partitions(n))
+    return partitions, [crank(p) for p in partitions], [rank(p) for p in partitions]
+
+
+def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
+    """tau from a weight's listing: stable sorts of its positions by crank
+    and by rank, each statistic computed once per partition."""
+    partitions, cranks, ranks = listing
+    order = range(len(partitions))
+    if tie_break == "lex-ascending":
+        order = order[::-1]
+    by_crank = sorted(order, key=cranks.__getitem__)
+    by_rank = sorted(order, key=ranks.__getitem__)
+    return ReorderingMap(
+        n=n,
+        tie_break=tie_break,
+        pairs=[(partitions[i], partitions[k]) for i, k in zip(by_crank, by_rank)],
+        cranks=[cranks[i] for i in by_crank],
+        ranks=[ranks[k] for k in by_rank],
+    )
 
 
 def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
@@ -61,23 +91,19 @@ def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
         raise ValueError("tau needs n >= 2; the weight-1 table row is a convention only")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    base = list(enumerate_partitions(n))
-    if tie_break == "lex-ascending":
-        base.reverse()
-    by_crank = sorted(base, key=crank)
-    by_rank = sorted(base, key=rank)
-    return ReorderingMap(n=n, tie_break=tie_break, pairs=list(zip(by_crank, by_rank)))
+    return _tau(n, tie_break, _listing(n))
 
 
 def ospt_via_tau(rmap: ReorderingMap) -> int:
     """Count the pairs with crank(lambda) - rank(tau(lambda)) = 1."""
-    return sum(1 for lam, mu in rmap.pairs if crank(lam) - rank(mu) == 1)
+    return sum(1 for a, b in zip(rmap.cranks, rmap.ranks) if a - b == 1)
 
 
 def fixed_point_check(rmap: ReorderingMap) -> bool:
     """tau must fix the one-part partition (n), which maximizes both statistics."""
     top = Partition([rmap.n])
-    return rmap.apply(top) == top
+    # (n) alone has the largest crank, so its pair is normally the last one
+    return any(lam == top and mu == top for lam, mu in reversed(rmap.pairs))
 
 
 def case_condition_holds(lam_crank: int, difference: int) -> bool:
@@ -98,7 +124,8 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
     the rank analogue for its image; the membership chain
     rank(tau) > 0 => crank > 0 => rank(tau) >= 0; the transfer of the
     positive-rank sum through tau; and that ospt via tau matches the
-    moment route (hence is tie-break independent).
+    moment route (hence is tie-break independent).  Each weight is
+    listed once, with its cranks and ranks, for both tie-breaks.
     """
     from . import tables as tables_mod
 
@@ -111,68 +138,77 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
     started = time.monotonic()
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
-        everything = set(enumerate_partitions(n))
+        listing = _listing(n)
+        everything = set(listing[0])
+        # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n
+        cum_crank = [table.cum_crank(a, n) for a in range(-n - 1, n + 1)]
+        cum_rank = [table.cum_rank(a, n) for a in range(-n - 1, n + 1)]
+        expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
+        ospt_moments = table.ospt_moments(n)
         ospt_values = set()
         for tie_break in TIE_BREAKS:
-            rmap = build_tau(n, tie_break)
+            rmap = _tau(n, tie_break, listing)
+            pairs = rmap.pairs
             rec.expect(
                 "tau-is-bijection",
-                {lam for lam, _ in rmap.pairs} == everything
-                and {mu for _, mu in rmap.pairs} == everything,
-                {"n": n, "tie_break": tie_break},
+                {lam for lam, _ in pairs} == everything
+                and {mu for _, mu in pairs} == everything,
+                lambda: {"n": n, "tie_break": tie_break},
             )
             rec.expect(
                 "tau-fixes-single-row-partition",
                 fixed_point_check(rmap),
-                {"n": n, "tie_break": tie_break},
+                lambda: {"n": n, "tie_break": tie_break},
             )
             positive_rank_sum = 0
-            via_tau = 0
-            ok_case = ok_bracket = ok_chain = True
-            witness_case = witness_bracket = witness_chain = None
-            for i, (lam, mu) in enumerate(rmap.pairs, start=1):
-                a, b = crank(lam), rank(mu)
-                if ok_case and not case_condition_holds(a, a - b):
-                    ok_case = False
-                    witness_case = {"n": n, "tie_break": tie_break,
-                                    "partition": list(lam), "image": list(mu),
-                                    "crank": a, "rank_of_image": b}
-                if ok_bracket and not (
-                        table.cum_crank(a - 1, n) < i <= table.cum_crank(a, n)
-                        and table.cum_rank(b - 1, n) < i <= table.cum_rank(b, n)):
-                    ok_bracket = False
-                    witness_bracket = {"n": n, "tie_break": tie_break, "position": i,
-                                       "partition": list(lam), "image": list(mu)}
-                if ok_chain and ((b > 0 and not a > 0) or (a > 0 and not b >= 0)):
-                    ok_chain = False
-                    witness_chain = {"n": n, "tie_break": tie_break,
-                                     "partition": list(lam), "image": list(mu),
-                                     "crank": a, "rank_of_image": b}
+            bad_case = bad_bracket = bad_chain = 0  # first failing position
+            for i, (a, b) in enumerate(zip(rmap.cranks, rmap.ranks), start=1):
+                if not bad_case and not case_condition_holds(a, a - b):
+                    bad_case = i
+                if not bad_bracket and not (
+                        cum_crank[a + n] < i <= cum_crank[a + n + 1]
+                        and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
+                    bad_bracket = i
+                if not bad_chain and ((b > 0 and not a > 0) or (a > 0 and not b >= 0)):
+                    bad_chain = i
                 if a > 0:
                     positive_rank_sum += b
-                if a - b == 1:
-                    via_tau += 1
-            rec.expect("tau-case-condition", ok_case, witness_case)
-            rec.expect("tau-position-in-cumulative-window", ok_bracket, witness_bracket)
-            rec.expect("tau-membership-chain", ok_chain, witness_chain)
-            expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
+
+            def statistics_witness(i: int) -> dict:
+                lam, mu = pairs[i - 1]
+                return {"n": n, "tie_break": tie_break, "partition": list(lam),
+                        "image": list(mu), "crank": rmap.cranks[i - 1],
+                        "rank_of_image": rmap.ranks[i - 1]}
+
+            rec.expect("tau-case-condition", not bad_case,
+                       lambda: statistics_witness(bad_case))
+            rec.expect(
+                "tau-position-in-cumulative-window",
+                not bad_bracket,
+                lambda: {"n": n, "tie_break": tie_break, "position": bad_bracket,
+                         "partition": list(pairs[bad_bracket - 1][0]),
+                         "image": list(pairs[bad_bracket - 1][1])},
+            )
+            rec.expect("tau-membership-chain", not bad_chain,
+                       lambda: statistics_witness(bad_chain))
             rec.expect(
                 "tau-transfers-positive-rank-sum",
                 positive_rank_sum == expected_sum,
-                {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
-                 "via_moments": expected_sum},
+                lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
+                         "via_moments": expected_sum},
             )
+            via_tau = ospt_via_tau(rmap)
             ospt_values.add(via_tau)
             rec.expect(
                 "ospt-tau-matches-moments",
-                via_tau == table.ospt_moments(n),
-                {"n": n, "tie_break": tie_break, "via_tau": via_tau,
-                 "via_moments": table.ospt_moments(n)},
+                via_tau == ospt_moments,
+                lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
+                         "via_moments": ospt_moments},
             )
         rec.expect(
             "ospt-tau-tie-break-independent",
             len(ospt_values) == 1,
-            {"n": n, "values": sorted(ospt_values)},
+            lambda: {"n": n, "values": sorted(ospt_values)},
         )
     elapsed = int((time.monotonic() - started) * 1000)
     return VerifyReport(

@@ -87,7 +87,9 @@ class CheckRecorder:
 
     `expect(id, condition, witness)` marks the check failed on the
     first false condition; `witness` may be a dict or a zero-argument
-    callable producing one (so witnesses cost nothing on the pass path).
+    callable producing one.  Every suite passes callables, so a witness
+    is built (symbols formatted, table cells read) only for the first
+    failure of each check, and a passing instance costs one closure.
     """
 
     def __init__(self) -> None:

@@ -73,6 +73,16 @@ class MDurfeeSymbol:
         if self.beta and self.beta[0] > self.j:
             raise ValueError(f"beta entries must be <= j = {self.j}, got {self.beta}")
 
+    @classmethod
+    def _trusted(cls, m: int, j: int, alpha: tuple[int, ...],
+                 beta: tuple[int, ...]) -> "MDurfeeSymbol":
+        # Fast path for `to_symbol`, whose plain tuples already meet every
+        # invariant: fill the fields without re-validating them.
+        symbol = object.__new__(cls)
+        fields = symbol.__dict__
+        fields["m"], fields["j"], fields["alpha"], fields["beta"] = m, j, alpha, beta
+        return symbol
+
     @property
     def rows(self) -> int:
         """Height of the rectangle, m + j."""
@@ -95,6 +105,9 @@ class MDurfeeSymbol:
 def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     """Decompose a partition against its m-Durfee rectangle.
 
+    The partition is taken as valid, so the symbol is built without
+    re-checking the invariants its construction already guarantees.
+
     >>> str(to_symbol(Partition([7, 7, 6, 4, 3, 3, 2, 2, 2]), 2))
     '[4,3,3,2 | 3,2,2,2]_(5x3)'
     >>> str(to_symbol(Partition([5, 5, 1]), 3))
@@ -103,15 +116,16 @@ def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     if m < 0:
         raise ValueError("the rectangle offset m must be >= 0")
     length = len(partition)
-    if length <= m:
-        return MDurfeeSymbol(m=m, j=0, alpha=tuple(conjugate(partition)), beta=())
-    j = 1
-    while m + j + 1 <= length and partition[m + j] >= j + 1:
-        j += 1
-    excess = [partition[i] - j for i in range(m + j) if partition[i] > j]
-    alpha = tuple(conjugate(excess)) if excess else ()
+    j = 0
+    if length > m:
+        j = 1
+        while m + j + 1 <= length and partition[m + j] >= j + 1:
+            j += 1
+    # the top m + j rows fill the first j columns; alpha is the rest of
+    # their conjugate (a slice, so a plain tuple)
+    alpha = conjugate(partition[:m + j])[j:]
     beta = tuple(partition[m + j:])
-    return MDurfeeSymbol(m=m, j=j, alpha=alpha, beta=beta)
+    return MDurfeeSymbol._trusted(m, j, alpha, beta)
 
 
 def from_symbol(symbol: MDurfeeSymbol) -> Partition:

@@ -452,67 +452,67 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
     for n in range(1, nmax + 1):
         pn = partition_count(n)
         rec.expect("rank-row-sums-to-p", table.rank_total(n) == pn,
-                   {"n": n, "total": table.rank_total(n), "p": pn})
+                   lambda: {"n": n, "total": table.rank_total(n), "p": pn})
         rec.expect("crank-row-sums-to-p", table.crank_total(n) == pn,
-                   {"n": n, "total": table.crank_total(n), "p": pn})
+                   lambda: {"n": n, "total": table.crank_total(n), "p": pn})
         for m in range(1, n + 1):
             rec.expect("rank-symmetric-in-m",
                        table.rank_count(m, n) == table.rank_count(-m, n),
-                       {"n": n, "m": m})
+                       lambda: {"n": n, "m": m})
             rec.expect("crank-symmetric-in-m",
                        table.crank_count(m, n) == table.crank_count(-m, n),
-                       {"n": n, "m": m})
+                       lambda: {"n": n, "m": m})
         for m in range(-n - 2, n + 3):
             rec.expect("crank-cum-equals-rank-set-count",
                        table.cum_crank(m, n) == table.q_count(m, n),
-                       {"n": n, "m": m, "cum_crank": table.cum_crank(m, n),
-                        "q": table.q_count(m, n)})
+                       lambda: {"n": n, "m": m, "cum_crank": table.cum_crank(m, n),
+                                "q": table.q_count(m, n)})
         for m in range(-n - 2, n + 1):
             rec.expect("rank-cum-complement",
                        table.cum_rank(m + 1, n) == pn - table.p_ge(m + 2, n),
-                       {"n": n, "m": m})
+                       lambda: {"n": n, "m": m})
             rec.expect("crank-cum-complement",
                        table.cum_crank(m, n) == pn - table.q_count(-m - 1, n),
-                       {"n": n, "m": m})
+                       lambda: {"n": n, "m": m})
             rec.expect("cum-difference-transfer",
                        table.cum_rank(m + 1, n) - table.cum_crank(m, n)
                        == table.q_count(-m - 1, n) - table.p_ge(m + 2, n),
-                       {"n": n, "m": m})
+                       lambda: {"n": n, "m": m})
         for m in range(0, n + 3):
             rec.expect("rank-set-count-dominates-rank-tail",
                        table.q_count(m, n) >= table.p_ge(-m + 1, n),
-                       {"n": n, "m": m, "q": table.q_count(m, n),
-                        "p_ge": table.p_ge(-m + 1, n)})
+                       lambda: {"n": n, "m": m, "q": table.q_count(m, n),
+                                "p_ge": table.p_ge(-m + 1, n)})
         for m in range(-n - 2, 0):
             rec.expect("cum-chain-negative-m",
                        table.cum_rank(m, n) <= table.cum_crank(m, n)
                        <= table.cum_rank(m + 1, n),
-                       {"n": n, "m": m,
-                        "cum_rank": table.cum_rank(m, n),
-                        "cum_crank": table.cum_crank(m, n),
-                        "cum_rank_next": table.cum_rank(m + 1, n)})
+                       lambda: {"n": n, "m": m,
+                                "cum_rank": table.cum_rank(m, n),
+                                "cum_crank": table.cum_crank(m, n),
+                                "cum_rank_next": table.cum_rank(m + 1, n)})
         for m in range(0, n + 3):
             rec.expect("cum-chain-nonnegative-m",
                        table.cum_rank(m - 1, n) <= table.cum_crank(m, n)
                        <= table.cum_rank(m, n),
-                       {"n": n, "m": m,
-                        "cum_rank_prev": table.cum_rank(m - 1, n),
-                        "cum_crank": table.cum_crank(m, n),
-                        "cum_rank": table.cum_rank(m, n)})
+                       lambda: {"n": n, "m": m,
+                                "cum_rank_prev": table.cum_rank(m - 1, n),
+                                "cum_crank": table.cum_crank(m, n),
+                                "cum_rank": table.cum_rank(m, n)})
         rec.expect("rank-first-moment-vanishes", table.moment_rank(1, n) == 0,
-                   {"n": n, "N1": table.moment_rank(1, n)})
+                   lambda: {"n": n, "N1": table.moment_rank(1, n)})
         m2_rank = table.moment_rank(2, n)
         m2_crank = table.moment_crank(2, n)
         rec.expect("crank-second-moment-is-2np", m2_crank == 2 * n * pn,
-                   {"n": n, "M2": m2_crank, "2np": 2 * n * pn})
+                   lambda: {"n": n, "M2": m2_crank, "2np": 2 * n * pn})
         spt_from_rank = table.spt(n)
         rec.expect("spt-moment-routes-agree",
                    2 * spt_from_rank == m2_crank - m2_rank,
-                   {"n": n, "spt": spt_from_rank, "M2-N2": m2_crank - m2_rank})
+                   lambda: {"n": n, "spt": spt_from_rank, "M2-N2": m2_crank - m2_rank})
         if table.has_spt_tally:
             rec.expect("spt-tally-matches-moments",
                        table.spt_tally(n) == spt_from_rank,
-                       {"n": n, "tally": table.spt_tally(n), "moments": spt_from_rank})
+                       lambda: {"n": n, "tally": table.spt_tally(n), "moments": spt_from_rank})
     elapsed = int((time.monotonic() - started) * 1000)
     return VerifyReport(
         suite="identities",
@@ -544,36 +544,36 @@ def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
         abs_crank = table.abs_crank_moment(n)
         if n >= 2:
             ospt_n = table.ospt_moments(n)
-            rec.expect("ospt-positive", ospt_n > 0, {"n": n, "ospt": ospt_n})
+            rec.expect("ospt-positive", ospt_n > 0, lambda: {"n": n, "ospt": ospt_n})
             rec.expect("ospt-at-most-half-crank-zero-gap",
                        2 * ospt_n <= pn - table.crank_count(0, n),
-                       {"n": n, "ospt": ospt_n, "p": pn, "M0": table.crank_count(0, n)})
+                       lambda: {"n": n, "ospt": ospt_n, "p": pn, "M0": table.crank_count(0, n)})
         rec.expect("spt-at-most-sqrt-2n-p",
                    spt_n * spt_n <= 2 * n * pn * pn,
-                   {"n": n, "spt": spt_n, "p": pn})
+                   lambda: {"n": n, "spt": spt_n, "p": pn})
         if n >= 5:
             rec.expect("spt-at-least-sqrt-6n-over-pi-p",
                        6 * n * pn * pn * PI_SQ_LO_DEN <= PI_SQ_LO_NUM * spt_n * spt_n,
-                       {"n": n, "spt": spt_n, "p": pn})
+                       lambda: {"n": n, "spt": spt_n, "p": pn})
             rec.expect("spt-at-most-sqrt-n-p",
                        spt_n * spt_n <= n * pn * pn,
-                       {"n": n, "spt": spt_n, "p": pn})
+                       lambda: {"n": n, "spt": spt_n, "p": pn})
         rec.expect("spt-at-most-abs-crank-sum",
                    spt_n <= abs_crank,
-                   {"n": n, "spt": spt_n, "abs_crank_sum": abs_crank})
+                   lambda: {"n": n, "spt": spt_n, "abs_crank_sum": abs_crank})
         if n >= 2:
             # Cauchy-Schwarz over the crank row needs every entry
             # nonnegative; the weight-1 convention row has a -1, so the
             # squared-sum bound starts at n = 2.
             rec.expect("abs-crank-sum-at-most-sqrt-2n-p",
                        abs_crank * abs_crank <= 2 * n * pn * pn,
-                       {"n": n, "abs_crank_sum": abs_crank, "p": pn})
+                       lambda: {"n": n, "abs_crank_sum": abs_crank, "p": pn})
         for k in (1, 2, 3):
             rec.expect(f"crank-even-moment-dominates-k{k}",
                        table.moment_crank(2 * k, n) > table.moment_rank(2 * k, n),
-                       {"n": n, "k": k,
-                        "M2k": table.moment_crank(2 * k, n),
-                        "N2k": table.moment_rank(2 * k, n)})
+                       lambda: {"n": n, "k": k,
+                                "M2k": table.moment_crank(2 * k, n),
+                                "N2k": table.moment_rank(2 * k, n)})
     ratios = []
     pn = partition_count(nmax)
     for m in (-1, -2, -3):

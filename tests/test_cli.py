@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from rankcrank import partitions, qseries, reordering, tables
+from rankcrank import injections, partitions, qseries, reordering, tables
 from rankcrank.cli import main
 from rankcrank.report import VerifyReport
 
@@ -92,6 +93,49 @@ def test_verify_all_merges_and_clamps(capsys):
     assert prefixes == {"identities", "injections", "tau", "bounds", "genfun"}
     assert set(rep.range["components"]) == prefixes
     assert rep.info and "bounds" in rep.info
+
+
+@pytest.mark.parametrize("flags, enumerated_nmax", [((), 60), (("--backend", "accelerated"), 40)])
+def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enumerated_nmax):
+    # stand-in tables and suites record who read which table at which nmax
+    builds = []
+    received = {}
+
+    def build(nmax):
+        builds.append(nmax)
+        return SimpleNamespace(nmax=nmax)
+
+    def record(name, nmax, table):
+        received[name] = (nmax, table)
+        return VerifyReport(suite=name, range={"nmax": nmax})
+
+    monkeypatch.setattr(tables, "build", build)
+    monkeypatch.setattr(tables, "build_accelerated",
+                        lambda nmax: SimpleNamespace(nmax=nmax))
+    monkeypatch.setattr(tables, "verify_identities",
+                        lambda table: record("identities", table.nmax, table))
+    monkeypatch.setattr(tables, "verify_bounds",
+                        lambda table: record("bounds", table.nmax, table))
+    monkeypatch.setattr(qseries, "verify_genfun",
+                        lambda order, table, tau_limit: record("genfun", order, table))
+    monkeypatch.setattr(injections, "verify_injections",
+                        lambda mmax, nmax, table: record("injections", nmax, table))
+    monkeypatch.setattr(reordering, "verify_reordering",
+                        lambda nmax, table: record("tau", nmax, table))
+    code, out, _ = run(capsys, "verify", "--suite", "all", *flags)
+    assert code == 0
+    assert builds == [enumerated_nmax]
+    nmaxes = {name: nmax for name, (nmax, _) in received.items()}
+    assert nmaxes == {"identities": 60, "bounds": 60, "genfun": 60,
+                      "injections": 30, "tau": 40}
+    shared = received["injections"][1]
+    assert received["tau"][1] is shared and shared.nmax == enumerated_nmax
+    for name in ("identities", "bounds", "genfun"):
+        table = received[name][1]
+        assert table.nmax == 60
+        assert (table is shared) == (not flags)
+    components = VerifyReport.from_json(out).range["components"]
+    assert components["injections"] == {"nmax": 30} and components["tau"] == {"nmax": 40}
 
 
 def test_tau_csv_weight_4(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from rankcrank import injections
 from rankcrank.injections import (
     SymbolClass,
     classify,
@@ -12,7 +13,14 @@ from rankcrank.injections import (
     verify_injections,
 )
 from rankcrank.partitions import enumerate_partitions
-from rankcrank.symbols import MDurfeeSymbol, from_symbol, rank_at_least, rank_set_has_m, to_symbol
+from rankcrank.symbols import (
+    MDurfeeSymbol,
+    from_symbol,
+    parse_symbol,
+    rank_at_least,
+    rank_set_has_m,
+    to_symbol,
+)
 
 
 def sym(m, j, alpha=(), beta=()):
@@ -166,3 +174,18 @@ def test_verify_injections_suite(table30):
 def test_verify_injections_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_injections(3, 1)
+
+
+def test_verify_injections_failure_witness(monkeypatch, table30):
+    # a sigma that returns its input never inverts theta2: the lazy witness
+    # must name the P2 symbol it was given, not its image
+    monkeypatch.setattr(injections, "sigma", lambda symbol: symbol)
+    rep = verify_injections(2, 8, table=table30)
+    failed = {c.id: c.witness for c in rep.checks if c.status == "fail"}
+    assert set(failed) == {"sigma-inverts-theta2"}
+    witness = failed["sigma-inverts-theta2"]
+    assert set(witness) == {"m", "n", "symbol"}
+    symbol = parse_symbol(witness["symbol"])
+    assert symbol.weight == witness["n"] and symbol.m == witness["m"]
+    assert classify(symbol, "P") is SymbolClass.P2
+    assert witness == {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}

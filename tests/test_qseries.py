@@ -27,14 +27,9 @@ def test_construction_and_padding():
         s[-1]
 
 
-def test_zero_one_monomial():
+def test_zero_and_one():
     assert TruncatedSeries(3).coeffs == [0, 0, 0, 0]
-    assert TruncatedSeries.one(3).coeffs == [1, 0, 0, 0]
-    assert TruncatedSeries.monomial(2, -1, order=3).coeffs == [0, 0, -1, 0]
-    # beyond the order the monomial is silently zero: loop bounds may overshoot
-    assert TruncatedSeries.monomial(9, order=3) == TruncatedSeries(3)
-    with pytest.raises(ValueError):
-        TruncatedSeries.monomial(-1, order=3)
+    assert TruncatedSeries(3, [1]).coeffs == [1, 0, 0, 0]
 
 
 def test_ring_operations():
@@ -63,9 +58,9 @@ def test_inverse():
     a = TruncatedSeries(5, [1, -1])
     inv = a.inverse()
     assert inv.coeffs == [1, 1, 1, 1, 1, 1]
-    assert (a * inv) == TruncatedSeries.one(5)
+    assert (a * inv) == TruncatedSeries(5, [1])
     neg = TruncatedSeries(4, [-1, 2])
-    assert (neg * neg.inverse()) == TruncatedSeries.one(4)
+    assert (neg * neg.inverse()) == TruncatedSeries(4, [1])
     with pytest.raises(ValueError):
         TruncatedSeries(3, [2]).inverse()
     with pytest.raises(ValueError):
@@ -91,7 +86,7 @@ def test_euler_inverse_counts_partitions():
 
 def test_product_times_inverse_is_one():
     n = 40
-    assert euler_product(n) * euler_inverse(n) == TruncatedSeries.one(n)
+    assert euler_product(n) * euler_inverse(n) == TruncatedSeries(n, [1])
 
 
 def test_ospt_numerator_small():

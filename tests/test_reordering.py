@@ -1,5 +1,6 @@
 import pytest
 
+from rankcrank import reordering
 from rankcrank.partitions import Partition, enumerate_partitions
 from rankcrank.reordering import (
     TIE_BREAKS,
@@ -121,3 +122,29 @@ def test_verify_reordering_rejects_small_table(table30):
         verify_reordering(45, table=table30)
     with pytest.raises(ValueError):
         verify_reordering(1)
+
+
+def test_build_tau_matches_literal_sorts():
+    for n in range(2, 13):
+        for tie_break in TIE_BREAKS:
+            base = list(enumerate_partitions(n))
+            if tie_break == "lex-ascending":
+                base.reverse()
+            expected = list(zip(sorted(base, key=crank), sorted(base, key=rank)))
+            rmap = build_tau(n, tie_break)
+            assert rmap.pairs == expected, (n, tie_break)
+            assert rmap.cranks == [crank(lam) for lam, _ in expected]
+            assert rmap.ranks == [rank(mu) for _, mu in expected]
+
+
+def test_verify_reordering_failure_witness(monkeypatch, table30):
+    # the lazy witness must read the statistics of the failing pair itself
+    monkeypatch.setattr(reordering, "case_condition_holds", lambda *_: False)
+    rep = verify_reordering(6, table=table30)
+    failed = {c.id: c.witness for c in rep.checks if c.status == "fail"}
+    assert set(failed) == {"tau-case-condition"}
+    witness = failed["tau-case-condition"]
+    assert witness["crank"] == crank(witness["partition"])
+    assert witness["rank_of_image"] == rank(witness["image"])
+    assert witness == {"n": 2, "tie_break": "lex-descending", "partition": [1, 1],
+                       "image": [1, 1], "crank": -2, "rank_of_image": -1}

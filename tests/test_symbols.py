@@ -64,6 +64,23 @@ def test_symbol_validation():
         to_symbol(Partition([3, 1]), -2)
 
 
+def test_to_symbol_equals_validated_symbol():
+    # to_symbol skips re-validation; its symbols must be exactly the ones
+    # the validating constructor accepts and builds from the same fields
+    for n in range(0, 15):
+        for p in enumerate_partitions(n):
+            for m in range(0, 5):
+                s = to_symbol(p, m)
+                validated = MDurfeeSymbol(m, s.j, s.alpha, s.beta)
+                assert s == validated and hash(s) == hash(validated), (tuple(p), m)
+                assert type(s.alpha) is tuple and type(s.beta) is tuple
+                assert from_symbol(s) == p
+    with pytest.raises(ValueError):
+        MDurfeeSymbol(m=1, j=2, alpha=(1, 2), beta=())  # alpha not decreasing
+    with pytest.raises(ValueError):
+        MDurfeeSymbol(m=1, j=2, alpha=(), beta=(2, 0))  # beta entry not positive
+
+
 def test_round_trip_exhaustive():
     for n in range(0, 26):
         for p in enumerate_partitions(n):
