@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
 from .statistics import crank, rank
 
@@ -119,7 +119,8 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
     """The full tau suite for 2 <= n <= nmax under both tie-breaks.
 
     Checks, per weight and tie-break: the case condition; that tau is a
-    bijection fixing (n); that position i sits inside both cumulative
+    bijection fixing (n) on a listing of each of the p(n) partitions
+    exactly once; that position i sits inside both cumulative
     windows, M(<= a-1, n) < i <= M(<= a, n) for a = crank(lambda_i) and
     the rank analogue for its image; the membership chain
     rank(tau) > 0 => crank > 0 => rank(tau) >= 0; the transfer of the
@@ -140,6 +141,8 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
     for n in range(2, nmax + 1):
         listing = _listing(n)
         everything = set(listing[0])
+        # the listing must hold each of the p(n) partitions exactly once
+        listed, distinct, pn = len(listing[0]), len(everything), partition_count(n)
         # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n
         cum_crank = [table.cum_crank(a, n) for a in range(-n - 1, n + 1)]
         cum_rank = [table.cum_rank(a, n) for a in range(-n - 1, n + 1)]
@@ -151,9 +154,11 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
             pairs = rmap.pairs
             rec.expect(
                 "tau-is-bijection",
-                {lam for lam, _ in pairs} == everything
+                listed == pn == distinct
+                and {lam for lam, _ in pairs} == everything
                 and {mu for _, mu in pairs} == everything,
-                lambda: {"n": n, "tie_break": tie_break},
+                lambda: {"n": n, "tie_break": tie_break, "listed": listed,
+                         "distinct": distinct, "p": pn},
             )
             rec.expect(
                 "tau-fixes-single-row-partition",

@@ -27,11 +27,14 @@ Two builders with recorded provenance:
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
-  itself), q rows from bounded-part counts summed over Durfee
-  rectangles.  Negative-m q cells use the fact that conjugation
-  complements rank-sets: m is in the rank-set of a partition iff
-  -m - 1 is not in the rank-set of its conjugate (verified exhaustively
-  in the tests).  The accelerated table carries no smallest-part tally.
+  itself), q rows for m >= 0 from a sum over m-Durfee rectangles of
+  filling series F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running
+  series per m: F_{m,0} counts partitions with parts <= m, and two
+  in-place divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells
+  use the fact that conjugation complements rank-sets: m is in the
+  rank-set of a partition iff -m - 1 is not in the rank-set of its
+  conjugate (verified exhaustively in the tests).  The accelerated
+  table carries no smallest-part tally.
 
 The two backends must agree cell for cell; the acceptance suite checks
 this through n = 45 before the accelerated one is used at larger n.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import accumulate
 
 from .partitions import enumerate_partitions, partition_count, partition_count_series
 from .report import CheckRecorder, VerifyReport
@@ -66,17 +70,8 @@ class StatTable:
         self._crank = crank_rows  # same layout
         self._q = q_rows          # _q[n]: list of 2n+5 counts, index m + n + 2
         self._spt = spt_tallies   # _spt[n]: smallest-part tally, or None
-        self._rank_prefix = [None] + [self._prefix(rank_rows[n]) for n in range(1, nmax + 1)]
-        self._crank_prefix = [None] + [self._prefix(crank_rows[n]) for n in range(1, nmax + 1)]
-
-    @staticmethod
-    def _prefix(row):
-        acc = 0
-        out = []
-        for v in row:
-            acc += v
-            out.append(acc)
-        return out
+        self._rank_prefix = [None] + [list(accumulate(rank_rows[n])) for n in range(1, nmax + 1)]
+        self._crank_prefix = [None] + [list(accumulate(crank_rows[n])) for n in range(1, nmax + 1)]
 
     def _check_n(self, n: int) -> None:
         if not 1 <= n <= self.nmax:
@@ -369,13 +364,25 @@ def _bounded_part_counts(nmax: int) -> list:
 def build_accelerated(nmax: int) -> StatTable:
     """Compute the same tables arithmetically; no enumeration, no tally.
 
-    Rank/crank rows come from `_rows_from_series`.  A q row entry for
-    m >= 0 sums, over the possible m-Durfee rectangle widths j, the
-    ways to fill the columns beside the rectangle (parts <= m + j) and
-    the rows under it with first row exactly j (parts <= j on the rest):
-    the j = 0 term degenerates to partitions with at most m parts.
+    Rank/crank rows come from `_rows_from_series`.  For m >= 0 the q
+    counts q(m, n), n <= nmax, are the coefficients of a sum over the
+    m-Durfee rectangle widths j >= 0:
+
+      sum over j of q^(j(m+j+1)) F_{m,j},   F_{m,j} = 1/((q)_{m+j} (q)_j).
+
+    The term j places a rectangle of m + j rows and j columns with a row
+    of exactly j under it (weight j(m + j + 1)); F_{m,j} fills the
+    columns beside the rectangle (parts <= m + j) and the rows under it
+    (parts <= j).  The j = 0 term is the partitions with parts <= m.
+    One running series per m carries F_{m,j}: it starts at F_{m,0}, the
+    bounded-part counts pb[m], and each step divides by 1 - q^(m+j) and
+    1 - q^j in place, truncated to the coefficients that term j can
+    still place at some n <= nmax.
     Entries for m < 0 use the conjugation complement
     q(m, n) = p(n) - q(-m - 1, n).
+
+    >>> [build_accelerated(10).q_count(m, 10) for m in (-3, 0, 1, 2)]
+    [12, 23, 26, 30]
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -383,35 +390,23 @@ def build_accelerated(nmax: int) -> StatTable:
     rank_rows = _rows_from_series(nmax, lambda k, m: k * (3 * k - 1) // 2 + m * k)
     crank_rows = _rows_from_series(nmax, lambda k, m: k * (k - 1) // 2 + m * k)
     pb = _bounded_part_counts(nmax)
-    conv_cache: dict = {}
-
-    def rectangle_fillings(m: int, j: int) -> list:
-        # Convolution of parts <= m+j with parts <= j, up to the largest
-        # remainder any n <= nmax can leave beside a (m+j) x j rectangle
-        # whose first under-row is forced to j.
-        key = (m, j)
-        if key not in conv_cache:
-            limit = nmax - j * (m + j) - j
-            side, under = pb[m + j], pb[j]
-            conv_cache[key] = [
-                sum(side[a] * under[r - a] for a in range(r + 1)) for r in range(limit + 1)
-            ]
-        return conv_cache[key]
-
-    def q_nonneg(m: int, n: int) -> int:
-        total = pb[min(m, n)][n]
+    q_cols = []  # q_cols[m][n] = q(m, n) for 0 <= m <= nmax + 2
+    for m in range(nmax + 3):
+        col = pb[min(m, nmax)][:]
+        fill = col[:]  # F_{m,0}
         j = 1
-        while j * (m + j) + j <= n:
-            total += rectangle_fillings(m, j)[n - j * (m + j) - j]
+        while (offset := j * (m + j + 1)) <= nmax:
+            del fill[nmax - offset + 1:]
+            for k in (m + j, j):
+                for a in range(k, len(fill)):
+                    fill[a] += fill[a - k]
+            col[offset:] = [c + f for c, f in zip(col[offset:], fill)]
             j += 1
-        return total
-
+        q_cols.append(col)
     q_rows: list = [None]
     for n in range(1, nmax + 1):
-        row = []
-        for m in range(-n - 2, n + 3):
-            row.append(q_nonneg(m, n) if m >= 0 else ps[n] - q_nonneg(-m - 1, n))
-        q_rows.append(row)
+        q_rows.append([ps[n] - q_cols[-m - 1][n] for m in range(-n - 2, 0)]
+                      + [q_cols[m][n] for m in range(n + 3)])
     return StatTable(nmax, rank_rows, crank_rows, q_rows, None, "accelerated")
 
 
@@ -451,54 +446,57 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
-        rec.expect("rank-row-sums-to-p", table.rank_total(n) == pn,
-                   lambda: {"n": n, "total": table.rank_total(n), "p": pn})
-        rec.expect("crank-row-sums-to-p", table.crank_total(n) == pn,
-                   lambda: {"n": n, "total": table.crank_total(n), "p": pn})
+        # Each of the weight's cells is read once; m sits at index m + o.
+        o = n + 3
+        cells = range(-o, o + 1)
+        rank = [table.rank_count(m, n) for m in cells]
+        crank = [table.crank_count(m, n) for m in cells]
+        cum_rank = [table.cum_rank(m, n) for m in cells]
+        cum_crank = [table.cum_crank(m, n) for m in cells]
+        q = [table.q_count(m, n) for m in cells]
+        p_ge = [table.p_ge(m, n) for m in cells]
+        rank_total, crank_total = table.rank_total(n), table.crank_total(n)
+        rec.expect("rank-row-sums-to-p", rank_total == pn,
+                   lambda: {"n": n, "total": rank_total, "p": pn})
+        rec.expect("crank-row-sums-to-p", crank_total == pn,
+                   lambda: {"n": n, "total": crank_total, "p": pn})
         for m in range(1, n + 1):
-            rec.expect("rank-symmetric-in-m",
-                       table.rank_count(m, n) == table.rank_count(-m, n),
+            rec.expect("rank-symmetric-in-m", rank[o + m] == rank[o - m],
                        lambda: {"n": n, "m": m})
-            rec.expect("crank-symmetric-in-m",
-                       table.crank_count(m, n) == table.crank_count(-m, n),
+            rec.expect("crank-symmetric-in-m", crank[o + m] == crank[o - m],
                        lambda: {"n": n, "m": m})
         for m in range(-n - 2, n + 3):
             rec.expect("crank-cum-equals-rank-set-count",
-                       table.cum_crank(m, n) == table.q_count(m, n),
-                       lambda: {"n": n, "m": m, "cum_crank": table.cum_crank(m, n),
-                                "q": table.q_count(m, n)})
+                       cum_crank[o + m] == q[o + m],
+                       lambda: {"n": n, "m": m, "cum_crank": cum_crank[o + m], "q": q[o + m]})
         for m in range(-n - 2, n + 1):
             rec.expect("rank-cum-complement",
-                       table.cum_rank(m + 1, n) == pn - table.p_ge(m + 2, n),
+                       cum_rank[o + m + 1] == pn - p_ge[o + m + 2],
                        lambda: {"n": n, "m": m})
             rec.expect("crank-cum-complement",
-                       table.cum_crank(m, n) == pn - table.q_count(-m - 1, n),
+                       cum_crank[o + m] == pn - q[o - m - 1],
                        lambda: {"n": n, "m": m})
             rec.expect("cum-difference-transfer",
-                       table.cum_rank(m + 1, n) - table.cum_crank(m, n)
-                       == table.q_count(-m - 1, n) - table.p_ge(m + 2, n),
+                       cum_rank[o + m + 1] - cum_crank[o + m] == q[o - m - 1] - p_ge[o + m + 2],
                        lambda: {"n": n, "m": m})
         for m in range(0, n + 3):
             rec.expect("rank-set-count-dominates-rank-tail",
-                       table.q_count(m, n) >= table.p_ge(-m + 1, n),
-                       lambda: {"n": n, "m": m, "q": table.q_count(m, n),
-                                "p_ge": table.p_ge(-m + 1, n)})
+                       q[o + m] >= p_ge[o - m + 1],
+                       lambda: {"n": n, "m": m, "q": q[o + m], "p_ge": p_ge[o - m + 1]})
         for m in range(-n - 2, 0):
             rec.expect("cum-chain-negative-m",
-                       table.cum_rank(m, n) <= table.cum_crank(m, n)
-                       <= table.cum_rank(m + 1, n),
+                       cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1],
                        lambda: {"n": n, "m": m,
-                                "cum_rank": table.cum_rank(m, n),
-                                "cum_crank": table.cum_crank(m, n),
-                                "cum_rank_next": table.cum_rank(m + 1, n)})
+                                "cum_rank": cum_rank[o + m],
+                                "cum_crank": cum_crank[o + m],
+                                "cum_rank_next": cum_rank[o + m + 1]})
         for m in range(0, n + 3):
             rec.expect("cum-chain-nonnegative-m",
-                       table.cum_rank(m - 1, n) <= table.cum_crank(m, n)
-                       <= table.cum_rank(m, n),
+                       cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m],
                        lambda: {"n": n, "m": m,
-                                "cum_rank_prev": table.cum_rank(m - 1, n),
-                                "cum_crank": table.cum_crank(m, n),
-                                "cum_rank": table.cum_rank(m, n)})
+                                "cum_rank_prev": cum_rank[o + m - 1],
+                                "cum_crank": cum_crank[o + m],
+                                "cum_rank": cum_rank[o + m]})
         rec.expect("rank-first-moment-vanishes", table.moment_rank(1, n) == 0,
                    lambda: {"n": n, "N1": table.moment_rank(1, n)})
         m2_rank = table.moment_rank(2, n)

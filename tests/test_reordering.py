@@ -148,3 +148,25 @@ def test_verify_reordering_failure_witness(monkeypatch, table30):
     assert witness["rank_of_image"] == rank(witness["image"])
     assert witness == {"n": 2, "tie_break": "lex-descending", "partition": [1, 1],
                        "image": [1, 1], "crank": -2, "rank_of_image": -1}
+
+
+def test_tau_bijection_detects_bad_listing(monkeypatch, table30):
+    # a listing that misses or repeats a partition must not pass as a bijection
+    real = reordering.enumerate_partitions
+    for fault, counts in (("drop", (6, 6, 7)), ("duplicate", (8, 7, 7))):
+        def faulty(n, fault=fault):
+            listing = list(real(n))
+            if n == 5:
+                if fault == "drop":
+                    del listing[2]
+                else:
+                    listing.insert(2, listing[2])
+            return iter(listing)
+
+        monkeypatch.setattr(reordering, "enumerate_partitions", faulty)
+        rep = verify_reordering(6, table=table30)
+        check = {c.id: c for c in rep.checks}["tau-is-bijection"]
+        assert check.status == "fail", fault
+        witness = check.witness
+        assert witness["n"] == 5, fault
+        assert (witness["listed"], witness["distinct"], witness["p"]) == counts, fault

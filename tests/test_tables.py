@@ -142,6 +142,41 @@ def test_build_accelerated_matches_enumeration():
             assert te.q_count(m, n) == ta.q_count(m, n), (m, n)
 
 
+def test_accelerated_q_matches_rectangle_sum(accel100):
+    # literal per-cell sum over m-Durfee rectangles, above the enumeration range
+    nmax = 100
+    pb = [[1] + [0] * nmax]  # pb[k][a]: partitions of a with parts <= k
+    for k in range(1, nmax + 1):
+        row = []
+        for a in range(nmax + 1):
+            row.append(pb[k - 1][a] + (row[a - k] if a >= k else 0))
+        pb.append(row)
+
+    def q_ref(m, n):
+        if m < 0:
+            return partition_count(n) - q_ref(-m - 1, n)
+        total = pb[min(m, n)][n]
+        j = 1
+        while j * (m + j + 1) <= n:
+            r = n - j * (m + j + 1)
+            side, under = pb[m + j], pb[j]
+            total += sum(side[a] * under[r - a] for a in range(r + 1))
+            j += 1
+        return total
+
+    for n in (61, 79, 100):
+        for m in range(-n - 2, n + 3):
+            assert accel100.q_count(m, n) == q_ref(m, n), (m, n)
+
+
+def test_accelerated_rows_do_not_depend_on_nmax(accel100):
+    small = tables.build_accelerated(37)
+    for n in range(1, 38):
+        assert small._rank[n] == accel100._rank[n], n
+        assert small._crank[n] == accel100._crank[n], n
+        assert small._q[n] == accel100._q[n], n
+
+
 def test_accelerated_has_no_tally():
     ta = tables.build_accelerated(10)
     assert not ta.has_spt_tally
