@@ -13,7 +13,7 @@ from .reordering import ReorderingMap, build_tau, ospt_via_tau, verify_reorderin
 from .report import CheckRecorder, CheckResult, VerifyReport
 from .statistics import crank, ones_count, rank, rank_set_contains, smallest_part_count
 from .symbols import MDurfeeSymbol, format_symbol, from_symbol, parse_symbol, rank_at_least, rank_set_has_m, to_symbol
-from .tables import StatTable, build, build_accelerated, q_count_direct, spt_direct, verify_bounds, verify_identities
+from .tables import StatTable, build, build_accelerated, verify_bounds, verify_identities
 
 __version__ = "0.1.0"
 
@@ -46,14 +46,12 @@ __all__ = [
     "partition_count",
     "partition_count_series",
     "pi",
-    "q_count_direct",
     "rank",
     "rank_at_least",
     "rank_set_contains",
     "rank_set_has_m",
     "sigma",
     "smallest_part_count",
-    "spt_direct",
     "theta",
     "theta1",
     "theta2",

@@ -146,29 +146,21 @@ def _table(nmax: int, backend: str, cache: dict) -> tables.StatTable:
     return cache[key]
 
 
-def _table_rows(table: tables.StatTable, n: int, stat: str):
-    for m in range(-n, n + 1):
-        n_cnt = table.rank_count(m, n)
-        m_cnt = table.crank_count(m, n)
-        if stat == "rank":
-            yield m, (n_cnt,)
-        elif stat == "crank":
-            yield m, (m_cnt,)
-        else:
-            yield m, (n_cnt, m_cnt)
-
-
 def cmd_table(args) -> int:
     single = args.n is not None
     nmax = args.n if single else args.nmax
     table = _table(nmax, args.backend, {})
     weights = [nmax] if single else range(1, nmax + 1)
-    columns = {"rank": ("N",), "crank": ("M",), "both": ("N", "M")}[args.stat]
+    columns, cells = {
+        "rank": (("N",), (table.rank_count,)),
+        "crank": (("M",), (table.crank_count,)),
+        "both": (("N", "M"), (table.rank_count, table.crank_count)),
+    }[args.stat]
     if args.format == "csv":
         sys.stdout.write("n,m," + ",".join(columns) + "\n")
         for n in weights:
-            for m, counts in _table_rows(table, n, args.stat):
-                sys.stdout.write(f"{n},{m}," + ",".join(map(str, counts)) + "\n")
+            for m in range(-n, n + 1):
+                sys.stdout.write(f"{n},{m}," + ",".join([str(cell(m, n)) for cell in cells]) + "\n")
     elif args.format == "json":
         full = table.to_json_dict()
         if args.stat != "both":
@@ -187,7 +179,8 @@ def cmd_table(args) -> int:
             if not single:
                 sys.stdout.write(f"-- n = {n}\n")
             sys.stdout.write(header + "\n")
-            for m, counts in _table_rows(table, n, args.stat):
+            for m in range(-n, n + 1):
+                counts = [cell(m, n) for cell in cells]
                 if any(counts):
                     sys.stdout.write(
                         f"{m:>5}  " + "  ".join(f"{c:>8}" for c in counts) + "\n")
@@ -196,10 +189,6 @@ def cmd_table(args) -> int:
 
 
 # -- verify --------------------------------------------------------------
-
-
-def _suite_plan(args) -> list[str]:
-    return list(SUITES[:-1]) if args.suite == "all" else [args.suite]
 
 
 def _run_one_suite(suite: str, nmax: int, backend: str, cache: dict,
@@ -232,7 +221,7 @@ def cmd_verify(args) -> int:
     variant = "extended" if args.extended else backend
     # every component is checked before the first suite runs
     plan = {suite: _nmax((f"verify {suite}", variant), args.nmax, args.suite == "all")
-            for suite in _suite_plan(args)}
+            for suite in (SUITES[:-1] if args.suite == "all" else (args.suite,))}
     # one enumeration table serves every component that reads one
     enumerated_nmax = max(
         (nmax for suite, nmax in plan.items()
@@ -374,17 +363,10 @@ def cmd_ospt(args) -> int:
     sys.stdout.write("n," + ",".join(methods) + "\n")
     agree = True
     for n in range(1, max_n + 1):
-        cells = []
-        present = []
-        for m in methods:
-            if n in values[m]:
-                cells.append(str(values[m][n]))
-                present.append(values[m][n])
-            else:
-                cells.append("-")
-        if len(set(present)) > 1:
+        row = [values[m].get(n) for m in methods]
+        if len({v for v in row if v is not None}) > 1:
             agree = False
-        sys.stdout.write(f"{n}," + ",".join(cells) + "\n")
+        sys.stdout.write(f"{n}," + ",".join("-" if v is None else str(v) for v in row) + "\n")
     sys.stdout.write(f"verdict: {'AGREE' if agree else 'DISAGREE'}\n")
     _narrate(f"ospt routes {', '.join(methods)} compared through n = {max_n}")
     return 0 if agree else 1

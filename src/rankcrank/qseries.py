@@ -1,9 +1,11 @@
 """Truncated formal power series in q with exact integer coefficients.
 
 A `TruncatedSeries` holds coefficients of q^0 .. q^N for a fixed
-truncation order N.  Arithmetic never rounds: coefficients are Python
-ints, terms beyond the order are discarded, and mixing orders is an
-error rather than a silent re-truncation.
+truncation order N, set at construction.  Its arithmetic is truncated
+multiplication and inversion, and it never rounds: coefficients are
+Python ints, terms beyond the order are discarded, and multiplying
+series of different orders is an error rather than a silent
+re-truncation.
 
 On top of the arithmetic sit the two series this package cares about:
 the reciprocal Euler product, whose n-th coefficient is p(n), and the
@@ -40,32 +42,16 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries(self.order, [other * a for a in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_order(other)
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         out = [0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -73,8 +59,6 @@ class TruncatedSeries:
             for k in range(i, self.order + 1):
                 out[k] += a * other.coeffs[k - i]
         return TruncatedSeries(self.order, out)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant term +-1 to stay integral."""

@@ -158,8 +158,8 @@ def test_criterion_10_asymptotic_trend_substitute(table60):
 
 def test_criterion_11_backend_agreement(table60, accel100):
     # arithmetic backend agrees with enumeration on every stored cell,
-    # n <= 45
-    for n in range(1, 46):
+    # n <= 60
+    for n in range(1, 61):
         for m in range(-n - 2, n + 3):
             assert table60.rank_count(m, n) == accel100.rank_count(m, n), (m, n)
             assert table60.crank_count(m, n) == accel100.crank_count(m, n), (m, n)

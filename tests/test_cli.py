@@ -23,10 +23,19 @@ def test_table_text_single_weight(capsys):
     assert rows == [["-4", "1"], ["-2", "1"], ["0", "1"], ["2", "1"], ["4", "1"]]
 
 
-def test_table_csv_weight_one_convention(capsys):
-    code, out, _ = run(capsys, "table", "--stat", "both", "--nmax", "1", "--format", "csv")
+@pytest.mark.parametrize("stat, nmax, lines", [
+    ("both", "1", ["n,m,N,M", "1,-1,0,1", "1,0,1,-1", "1,1,0,1"]),
+    ("both", "2", ["n,m,N,M", "1,-1,0,1", "1,0,1,-1", "1,1,0,1",
+                   "2,-2,0,1", "2,-1,1,0", "2,0,0,0", "2,1,1,0", "2,2,0,1"]),
+    ("rank", "2", ["n,m,N", "1,-1,0", "1,0,1", "1,1,0",
+                   "2,-2,0", "2,-1,1", "2,0,0", "2,1,1", "2,2,0"]),
+    ("crank", "2", ["n,m,M", "1,-1,1", "1,0,-1", "1,1,1",
+                    "2,-2,1", "2,-1,0", "2,0,0", "2,1,0", "2,2,1"]),
+], ids=["both-nmax1", "both-nmax2", "rank-nmax2", "crank-nmax2"])
+def test_table_csv_weight_one_convention(capsys, stat, nmax, lines):
+    code, out, _ = run(capsys, "table", "--stat", stat, "--nmax", nmax, "--format", "csv")
     assert code == 0
-    assert out.splitlines() == ["n,m,N,M", "1,-1,0,1", "1,0,1,-1", "1,1,0,1"]
+    assert out.splitlines() == lines
 
 
 def test_table_json_single(capsys):
@@ -210,6 +219,22 @@ def test_ospt_comparison(capsys):
     assert lines[1] == "1,1,-,1"  # tau needs n >= 2
     assert lines[4] == "4,2,2,2"
     assert lines[-1] == "verdict: AGREE"
+
+
+def test_ospt_disagreement_exits_1(capsys, monkeypatch):
+    original = qseries.ospt_series
+
+    def off_at_five(order):
+        series = original(order)
+        series.coeffs[5] += 1
+        return series
+
+    monkeypatch.setattr(qseries, "ospt_series", off_at_five)
+    code, out, _ = run(capsys, "ospt", "--max-n", "8")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[5] == "5,2,2,3"
+    assert lines[-1] == "verdict: DISAGREE"
 
 
 def test_ospt_method_subset(capsys):
