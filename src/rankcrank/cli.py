@@ -162,16 +162,14 @@ def cmd_table(args) -> int:
             for m in range(-n, n + 1):
                 sys.stdout.write(f"{n},{m}," + ",".join([str(cell(m, n)) for cell in cells]) + "\n")
     elif args.format == "json":
-        full = table.to_json_dict()
-        if args.stat != "both":
-            full.pop("crank" if args.stat == "rank" else "rank")
+        out = {} if single else {"nmax": nmax}
+        out["provenance"] = table.provenance
+        for column, cell in zip(columns, cells):
+            out["rank" if column == "N" else "crank"] = {
+                str(n): {str(m): cell(m, n) for m in range(-n, n + 1)} for n in weights}
         if single:
-            for key in ("rank", "crank"):
-                if key in full:
-                    full[key] = {str(nmax): full[key][str(nmax)]}
-            full["n"] = nmax
-            del full["nmax"]
-        json.dump(full, sys.stdout, indent=2)
+            out["n"] = nmax
+        json.dump(out, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         header = f"{'m':>5}  " + "  ".join(f"{c:>8}" for c in columns)

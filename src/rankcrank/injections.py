@@ -30,7 +30,6 @@ a symbol outside its domain; nothing is silently coerced.
 from __future__ import annotations
 
 import enum
-import time
 
 from .partitions import enumerate_partitions
 from .report import CheckRecorder, VerifyReport
@@ -190,7 +189,7 @@ _MATCHING_Q = {SymbolClass.P1: SymbolClass.Q1, SymbolClass.P2: SymbolClass.Q2,
                SymbolClass.P3: SymbolClass.Q3}
 
 
-def verify_injections(mmax: int, nmax: int, table=None) -> VerifyReport:
+def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     """Exhaustively verify the injection machinery for 0 <= m <= mmax, 2 <= n <= nmax.
 
     For every partition of every n, both families are built from the
@@ -199,16 +198,10 @@ def verify_injections(mmax: int, nmax: int, table=None) -> VerifyReport:
     class splits cover each family disjointly, P1 = Q1 as sets, theta2
     and theta3 land in Q2 and Q3 with weight preserved and round-trip
     through sigma and pi, theta is globally injective, and the count
-    gap #Q - #P matches q(m, n) - p_ge(-m+1, n) from the given table
-    (built here if not supplied).
+    gap #Q - #P matches q(m, n) - p_ge(-m+1, n) from the given table.
     """
-    from . import tables  # deferred: tables imports nothing from here
-
     if mmax < 0 or nmax < 2:
         raise ValueError("need mmax >= 0 and nmax >= 2")
-    if table is None:
-        table = tables.build(nmax)
-    started = time.monotonic()
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
         partitions = list(enumerate_partitions(n))
@@ -282,10 +275,4 @@ def verify_injections(mmax: int, nmax: int, table=None) -> VerifyReport:
                 lambda: {"m": m, "n": n, "gap": gap,
                          "q": table.q_count(m, n), "p_ge": table.p_ge(-m + 1, n)},
             )
-    elapsed = int((time.monotonic() - started) * 1000)
-    return VerifyReport(
-        suite="injections",
-        range={"mmax": mmax, "nmin": 2, "nmax": nmax},
-        checks=rec.results(),
-        elapsed_ms=elapsed,
-    )
+    return rec.report("injections", {"mmax": mmax, "nmin": 2, "nmax": nmax})

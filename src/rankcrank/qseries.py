@@ -16,8 +16,6 @@ against the table machinery in the verification suite.
 
 from __future__ import annotations
 
-import time
-
 from .partitions import partition_count
 from .report import CheckRecorder, VerifyReport
 
@@ -159,37 +157,31 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
     """
     from . import reordering  # deferred: reordering does not import qseries
 
-    started = time.monotonic()
     rec = CheckRecorder()
     nmax = min(order, table.nmax)
+    # Each check scans its n range in increasing order for its first
+    # failure and is recorded once; only a failure builds a witness.
     inv = euler_inverse(order)
-    for n in range(0, order + 1):
-        rec.expect(
-            "euler-inverse-counts-partitions",
-            inv[n] == partition_count(n),
-            lambda: {"n": n, "coefficient": inv[n], "p": partition_count(n)},
-        )
+    bad = next((n for n in range(0, order + 1) if inv[n] != partition_count(n)), None)
+    rec.expect("euler-inverse-counts-partitions", bad is None,
+               None if bad is None else {"n": bad, "coefficient": inv[bad],
+                                         "p": partition_count(bad)})
     series = ospt_series(order)
-    for n in range(1, nmax + 1):
-        rec.expect(
-            "ospt-series-matches-moments",
-            series[n] == table.ospt_moments(n),
-            lambda: {"n": n, "coefficient": series[n], "moments": table.ospt_moments(n)},
-        )
-    for n in range(2, order + 1):
-        rec.expect("ospt-series-positive", series[n] > 0,
-                   lambda: {"n": n, "coefficient": series[n]})
-    for n in range(2, tau_limit + 1):
-        via_tau = reordering.ospt_via_tau(reordering.build_tau(n))
-        rec.expect(
-            "ospt-series-matches-tau",
-            series[n] == via_tau,
-            lambda: {"n": n, "coefficient": series[n], "tau": via_tau},
-        )
-    elapsed = int((time.monotonic() - started) * 1000)
-    return VerifyReport(
-        suite="genfun",
-        range={"order": order, "moment_nmax": nmax, "tau_nmax": tau_limit},
-        checks=rec.results(),
-        elapsed_ms=elapsed,
-    )
+    if nmax >= 1:
+        bad = next((n for n in range(1, nmax + 1) if series[n] != table.ospt_moments(n)), None)
+        rec.expect("ospt-series-matches-moments", bad is None,
+                   None if bad is None else {"n": bad, "coefficient": series[bad],
+                                             "moments": table.ospt_moments(bad)})
+    if order >= 2:
+        bad = next((n for n in range(2, order + 1) if series[n] <= 0), None)
+        rec.expect("ospt-series-positive", bad is None,
+                   None if bad is None else {"n": bad, "coefficient": series[bad]})
+    if tau_limit >= 2:
+        bad = next((n for n in range(2, tau_limit + 1)
+                    if series[n] != reordering.ospt_via_tau(reordering.build_tau(n))), None)
+        rec.expect("ospt-series-matches-tau", bad is None,
+                   None if bad is None else {
+                       "n": bad, "coefficient": series[bad],
+                       "tau": reordering.ospt_via_tau(reordering.build_tau(bad))})
+    return rec.report(
+        "genfun", {"order": order, "moment_nmax": nmax, "tau_nmax": tau_limit})

@@ -24,7 +24,6 @@ listing behind it, so tau is undefined there.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .partitions import Partition, enumerate_partitions, partition_count
@@ -115,7 +114,7 @@ def case_condition_holds(lam_crank: int, difference: int) -> bool:
     return difference in (0, -1)
 
 
-def verify_reordering(nmax: int, table=None) -> VerifyReport:
+def verify_reordering(nmax: int, table) -> VerifyReport:
     """The full tau suite for 2 <= n <= nmax under both tie-breaks.
 
     Checks, per weight and tie-break: the case condition; that tau is a
@@ -126,17 +125,14 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
     rank(tau) > 0 => crank > 0 => rank(tau) >= 0; the transfer of the
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).  Each weight is
-    listed once, with its cranks and ranks, for both tie-breaks.
+    listed once, with its cranks and ranks, for both tie-breaks.  The
+    cumulative counts and moments come from `table`, which must cover
+    n <= nmax.
     """
-    from . import tables as tables_mod
-
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
-    if table is None:
-        table = tables_mod.build(nmax)
     if table.nmax < nmax:
         raise ValueError(f"table covers n <= {table.nmax}, need {nmax}")
-    started = time.monotonic()
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
         listing = _listing(n)
@@ -215,10 +211,4 @@ def verify_reordering(nmax: int, table=None) -> VerifyReport:
             len(ospt_values) == 1,
             lambda: {"n": n, "values": sorted(ospt_values)},
         )
-    elapsed = int((time.monotonic() - started) * 1000)
-    return VerifyReport(
-        suite="tau",
-        range={"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)},
-        checks=rec.results(),
-        elapsed_ms=elapsed,
-    )
+    return rec.report("tau", {"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)})

@@ -3,13 +3,20 @@
 Each suite (identities, injections, tau, bounds, genfun) runs a batch
 of named checks over a range and reports one `CheckResult` per check:
 status "pass" or "fail", and for failures a witness dict pinning down
-the first counterexample.  Reports serialize to JSON and parse back
-bit-identically, which the command-line layer relies on.
+the first counterexample.  A suite makes one `CheckRecorder.expect`
+call per check and scope (a weight, a weight and tie-break, or a
+symbol).  Where a scope holds many instances, such as the m of one
+weight, the suite scans them for the first failure before that call,
+and a passing scan builds no witness closure.  The recorder also
+times the suite and assembles its report.  Reports serialize to JSON
+and parse back bit-identically, which the command-line layer relies
+on.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -87,12 +94,16 @@ class CheckRecorder:
 
     `expect(id, condition, witness)` marks the check failed on the
     first false condition; `witness` may be a dict or a zero-argument
-    callable producing one.  Every suite passes callables, so a witness
-    is built (symbols formatted, table cells read) only for the first
-    failure of each check, and a passing instance costs one closure.
+    callable producing one, and is read only for the first failure of
+    each check.  Suites call it once per check and scope; a scope of
+    many instances is scanned for its first failure first, and the
+    witness is built only when that scan failed, so a passing scan
+    builds no closure.  The suite's clock starts when the recorder is
+    made, and `report` reads it.
     """
 
     def __init__(self) -> None:
+        self._started = time.monotonic()
         self._failures: dict[str, dict[str, Any]] = {}
         self._seen: dict[str, None] = {}
 
@@ -109,3 +120,10 @@ class CheckRecorder:
             else:
                 out.append(CheckResult(check_id, "pass"))
         return out
+
+    def report(self, suite: str, range: dict[str, Any],
+               info: dict[str, Any] | None = None) -> VerifyReport:
+        """The suite's report: its sorted checks and the time since the recorder was made."""
+        return VerifyReport(suite=suite, range=range, checks=self.results(),
+                            elapsed_ms=int((time.monotonic() - self._started) * 1000),
+                            info=info)

@@ -43,7 +43,6 @@ this through n = 60 before the accelerated one is used at larger n.
 from __future__ import annotations
 
 import math
-import time
 from itertools import accumulate
 
 from .partitions import enumerate_partitions, partition_count, partition_count_series
@@ -187,20 +186,6 @@ class StatTable:
         self._check_n(n)
         rank_row, crank_row = self._rank[n], self._crank[n]
         return sum((i - n) * (crank_row[i] - rank_row[i]) for i in range(n + 1, 2 * n + 1))
-
-    # -- export -----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Nested dict {stat: {n: {m: count}}} plus nmax and provenance."""
-        out = {"nmax": self.nmax, "provenance": self.provenance, "rank": {}, "crank": {}}
-        for n in range(1, self.nmax + 1):
-            out["rank"][str(n)] = {
-                str(i - n): c for i, c in enumerate(self._rank[n])
-            }
-            out["crank"][str(n)] = {
-                str(i - n): c for i, c in enumerate(self._crank[n])
-            }
-        return out
 
 
 def build(nmax: int) -> StatTable:
@@ -419,7 +404,6 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
         nmax = table.nmax
     if not 1 <= nmax <= table.nmax:
         raise ValueError(f"nmax must be in 1..{table.nmax}")
-    started = time.monotonic()
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
@@ -437,43 +421,49 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
                    lambda: {"n": n, "total": rank_total, "p": pn})
         rec.expect("crank-row-sums-to-p", crank_total == pn,
                    lambda: {"n": n, "total": crank_total, "p": pn})
-        for m in range(1, n + 1):
-            rec.expect("rank-symmetric-in-m", rank[o + m] == rank[o - m],
-                       lambda: {"n": n, "m": m})
-            rec.expect("crank-symmetric-in-m", crank[o + m] == crank[o - m],
-                       lambda: {"n": n, "m": m})
-        for m in range(-n - 2, n + 3):
-            rec.expect("crank-cum-equals-rank-set-count",
-                       cum_crank[o + m] == q[o + m],
-                       lambda: {"n": n, "m": m, "cum_crank": cum_crank[o + m], "q": q[o + m]})
-        for m in range(-n - 2, n + 1):
-            rec.expect("rank-cum-complement",
-                       cum_rank[o + m + 1] == pn - p_ge[o + m + 2],
-                       lambda: {"n": n, "m": m})
-            rec.expect("crank-cum-complement",
-                       cum_crank[o + m] == pn - q[o - m - 1],
-                       lambda: {"n": n, "m": m})
-            rec.expect("cum-difference-transfer",
-                       cum_rank[o + m + 1] - cum_crank[o + m] == q[o - m - 1] - p_ge[o + m + 2],
-                       lambda: {"n": n, "m": m})
-        for m in range(0, n + 3):
-            rec.expect("rank-set-count-dominates-rank-tail",
-                       q[o + m] >= p_ge[o - m + 1],
-                       lambda: {"n": n, "m": m, "q": q[o + m], "p_ge": p_ge[o - m + 1]})
-        for m in range(-n - 2, 0):
-            rec.expect("cum-chain-negative-m",
-                       cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1],
-                       lambda: {"n": n, "m": m,
-                                "cum_rank": cum_rank[o + m],
-                                "cum_crank": cum_crank[o + m],
-                                "cum_rank_next": cum_rank[o + m + 1]})
-        for m in range(0, n + 3):
-            rec.expect("cum-chain-nonnegative-m",
-                       cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m],
-                       lambda: {"n": n, "m": m,
-                                "cum_rank_prev": cum_rank[o + m - 1],
-                                "cum_crank": cum_crank[o + m],
-                                "cum_rank": cum_rank[o + m]})
+        # Each per-m check scans its m range in increasing order for its
+        # first failure and is recorded once; only a failure builds a witness.
+        bad = next((m for m in range(1, n + 1) if rank[o + m] != rank[o - m]), None)
+        rec.expect("rank-symmetric-in-m", bad is None,
+                   None if bad is None else {"n": n, "m": bad})
+        bad = next((m for m in range(1, n + 1) if crank[o + m] != crank[o - m]), None)
+        rec.expect("crank-symmetric-in-m", bad is None,
+                   None if bad is None else {"n": n, "m": bad})
+        bad = next((m for m in range(-n - 2, n + 3) if cum_crank[o + m] != q[o + m]), None)
+        rec.expect("crank-cum-equals-rank-set-count", bad is None,
+                   None if bad is None else {"n": n, "m": bad, "cum_crank": cum_crank[o + bad],
+                                             "q": q[o + bad]})
+        bad = next((m for m in range(-n - 2, n + 1)
+                    if cum_rank[o + m + 1] != pn - p_ge[o + m + 2]), None)
+        rec.expect("rank-cum-complement", bad is None,
+                   None if bad is None else {"n": n, "m": bad})
+        bad = next((m for m in range(-n - 2, n + 1)
+                    if cum_crank[o + m] != pn - q[o - m - 1]), None)
+        rec.expect("crank-cum-complement", bad is None,
+                   None if bad is None else {"n": n, "m": bad})
+        bad = next((m for m in range(-n - 2, n + 1)
+                    if cum_rank[o + m + 1] - cum_crank[o + m] != q[o - m - 1] - p_ge[o + m + 2]),
+                   None)
+        rec.expect("cum-difference-transfer", bad is None,
+                   None if bad is None else {"n": n, "m": bad})
+        bad = next((m for m in range(0, n + 3) if q[o + m] < p_ge[o - m + 1]), None)
+        rec.expect("rank-set-count-dominates-rank-tail", bad is None,
+                   None if bad is None else {"n": n, "m": bad, "q": q[o + bad],
+                                             "p_ge": p_ge[o - bad + 1]})
+        bad = next((m for m in range(-n - 2, 0)
+                    if not cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1]), None)
+        rec.expect("cum-chain-negative-m", bad is None,
+                   None if bad is None else {"n": n, "m": bad,
+                                             "cum_rank": cum_rank[o + bad],
+                                             "cum_crank": cum_crank[o + bad],
+                                             "cum_rank_next": cum_rank[o + bad + 1]})
+        bad = next((m for m in range(0, n + 3)
+                    if not cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m]), None)
+        rec.expect("cum-chain-nonnegative-m", bad is None,
+                   None if bad is None else {"n": n, "m": bad,
+                                             "cum_rank_prev": cum_rank[o + bad - 1],
+                                             "cum_crank": cum_crank[o + bad],
+                                             "cum_rank": cum_rank[o + bad]})
         rec.expect("rank-first-moment-vanishes", table.moment_rank(1, n) == 0,
                    lambda: {"n": n, "N1": table.moment_rank(1, n)})
         m2_rank = table.moment_rank(2, n)
@@ -488,13 +478,7 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
             rec.expect("spt-tally-matches-moments",
                        table.spt_tally(n) == spt_from_rank,
                        lambda: {"n": n, "tally": table.spt_tally(n), "moments": spt_from_rank})
-    elapsed = int((time.monotonic() - started) * 1000)
-    return VerifyReport(
-        suite="identities",
-        range={"nmin": 1, "nmax": nmax, "backend": table.provenance},
-        checks=rec.results(),
-        elapsed_ms=elapsed,
-    )
+    return rec.report("identities", {"nmin": 1, "nmax": nmax, "backend": table.provenance})
 
 
 def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
@@ -511,7 +495,6 @@ def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
         nmax = table.nmax
     if not 1 <= nmax <= table.nmax:
         raise ValueError(f"nmax must be in 1..{table.nmax}")
-    started = time.monotonic()
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
@@ -564,11 +547,5 @@ def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
             "crank-rank-gap-over-main-term": round(gap_within / main_within, 6),
             "shifted-rank-crank-gap-over-main-term": round(gap_shift / main_shift, 6),
         })
-    elapsed = int((time.monotonic() - started) * 1000)
-    return VerifyReport(
-        suite="bounds",
-        range={"nmin": 1, "nmax": nmax, "backend": table.provenance},
-        checks=rec.results(),
-        elapsed_ms=elapsed,
-        info={"asymptotic-trend-ratios": ratios},
-    )
+    return rec.report("bounds", {"nmin": 1, "nmax": nmax, "backend": table.provenance},
+                      info={"asymptotic-trend-ratios": ratios})

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import rankcrank
 from rankcrank import injections, partitions, qseries, reordering, tables
 from rankcrank.cli import main
 from rankcrank.report import VerifyReport
@@ -42,9 +44,21 @@ def test_table_json_single(capsys):
     code, out, _ = run(capsys, "table", "--stat", "rank", "--n", "3", "--format", "json")
     assert code == 0
     data = json.loads(out)
+    assert list(data) == ["provenance", "rank", "n"]
     assert data["n"] == 3
-    assert "crank" not in data
-    assert data["rank"]["3"]["-2"] == 1
+    assert data["rank"] == {"3": {"-3": 0, "-2": 1, "-1": 0, "0": 1, "1": 0, "2": 1, "3": 0}}
+
+
+def test_table_json_nmax(capsys):
+    code, out, _ = run(capsys, "table", "--stat", "both", "--nmax", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["nmax", "provenance", "rank", "crank"]
+    assert data["nmax"] == 3
+    assert data["provenance"] == "enumerated"
+    assert list(data["rank"]) == list(data["crank"]) == ["1", "2", "3"]
+    assert data["rank"]["2"] == {"-2": 0, "-1": 1, "0": 0, "1": 1, "2": 0}
+    assert data["crank"]["1"] == {"-1": 1, "0": -1, "1": 1}
 
 
 def test_table_requires_scope(capsys):
@@ -305,10 +319,12 @@ def test_out_of_range_exits_2_before_any_work(capsys, monkeypatch, argv):
 
 
 def test_console_script_subprocess():
+    # run from the directory holding the package under test, which `-m` puts on sys.path
     proc = subprocess.run(
         [sys.executable, "-m", "rankcrank", "table", "--stat", "crank",
          "--n", "4", "--format", "csv"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(rankcrank.__file__).parents[1])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,m,M"
     assert "1" in proc.stdout

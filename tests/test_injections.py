@@ -171,9 +171,9 @@ def test_verify_injections_suite(table30):
     assert rep.ok
 
 
-def test_verify_injections_rejects_bad_range():
+def test_verify_injections_rejects_bad_range(table30):
     with pytest.raises(ValueError):
-        verify_injections(3, 1)
+        verify_injections(3, 1, table=table30)
 
 
 def test_verify_injections_failure_witness(monkeypatch, table30):

@@ -121,7 +121,7 @@ def test_verify_reordering_rejects_small_table(table30):
     with pytest.raises(ValueError):
         verify_reordering(45, table=table30)
     with pytest.raises(ValueError):
-        verify_reordering(1)
+        verify_reordering(1, table=table30)
 
 
 def test_build_tau_matches_literal_sorts():

@@ -89,7 +89,15 @@ def test_recorder_sorts_results():
     rec = CheckRecorder()
     rec.expect("zeta", True)
     rec.expect("alpha", True)
-    assert [r.id for r in rec.results()] == ["alpha", "zeta"]
+    rec.expect("mu", False, {"n": 3})
+    assert [r.id for r in rec.results()] == ["alpha", "mu", "zeta"]
+    rep = rec.report("identities", {"nmin": 1, "nmax": 3}, info={"note": 1})
+    assert (rep.suite, rep.range, rep.info) == ("identities", {"nmin": 1, "nmax": 3},
+                                                {"note": 1})
+    assert rep.checks == [CheckResult("alpha", "pass"), CheckResult("mu", "fail", {"n": 3}),
+                          CheckResult("zeta", "pass")]
+    assert isinstance(rep.elapsed_ms, int) and rep.elapsed_ms >= 0
+    assert rec.report("bounds", {}).info is None
 
 
 def test_from_dict_rejects_bad_status():

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from rankcrank import tables
@@ -194,15 +196,6 @@ def test_accelerated_has_no_tally():
     assert ta.spt(5) == 14
 
 
-def test_json_export():
-    t = tables.build(3)
-    d = t.to_json_dict()
-    assert d["nmax"] == 3
-    assert d["provenance"] == "enumerated"
-    assert d["rank"]["2"] == {"-2": 0, "-1": 1, "0": 0, "1": 1, "2": 0}
-    assert d["crank"]["1"] == {"-1": 1, "0": -1, "1": 1}
-
-
 def test_statistics_match_table_rows(table30):
     # direct tally over every partition, desk-scale slice
     for n in (7, 13, 20):
@@ -254,3 +247,49 @@ def test_failure_reporting_is_witnessed():
     assert bad
     assert all(c.witness is not None for c in bad)
     assert any(c.witness.get("n") == 4 for c in bad if isinstance(c.witness, dict))
+
+
+# The rank rows' complement, tail and chain witnesses all sit at weight 6,
+# and a rank change at m = +-6 moves N_2(6) by 36, keeping spt integral.
+RANK_EDGE_FAILURES = {
+    "cum-difference-transfer": {"n": 6, "m": -8},
+    "rank-cum-complement": {"n": 6, "m": -8},
+    "rank-row-sums-to-p": {"n": 6, "total": 12, "p": 11},
+    "rank-symmetric-in-m": {"n": 6, "m": 6},
+    "spt-tally-matches-moments": {"n": 6, "tally": 26, "moments": 8},
+}
+
+
+@pytest.mark.parametrize("row, m, failures", [
+    ("q", 8, {"crank-cum-equals-rank-set-count": {"n": 6, "m": 8, "cum_crank": 11, "q": 12}}),
+    # q_count reads 0 below m = -n, so the stored cell at -n - 2 is never checked
+    ("q", -8, {}),
+    ("rank", 6, {
+        **RANK_EDGE_FAILURES,
+        "cum-chain-nonnegative-m": {"n": 6, "m": 7, "cum_rank_prev": 12, "cum_crank": 11,
+                                    "cum_rank": 12},
+        "rank-first-moment-vanishes": {"n": 6, "N1": 6},
+        "rank-set-count-dominates-rank-tail": {"n": 6, "m": 2, "q": 8, "p_ge": 9},
+    }),
+    ("rank", -6, {
+        **RANK_EDGE_FAILURES,
+        "cum-chain-negative-m": {"n": 6, "m": -5, "cum_rank": 2, "cum_crank": 1,
+                                 "cum_rank_next": 2},
+        "cum-chain-nonnegative-m": {"n": 6, "m": 2, "cum_rank_prev": 9, "cum_crank": 8,
+                                    "cum_rank": 10},
+        "rank-first-moment-vanishes": {"n": 6, "N1": -6},
+        "rank-set-count-dominates-rank-tail": {"n": 6, "m": 7, "q": 11, "p_ge": 12},
+    }),
+], ids=["q-top", "q-bottom", "rank-top", "rank-bottom"])
+def test_verify_identities_witnesses_at_range_ends(row, m, failures):
+    # +1 on the first or last stored cell of weight 6 (q at m = +-(n + 2),
+    # rank at m = +-n): each per-m scan must name the same first failing m
+    t = tables.build(6)
+    n = 6
+    if row == "q":
+        t._q[n][m + n + 2] += 1
+    else:
+        t._rank[n][m + n] += 1
+        t._rank_prefix[n] = list(accumulate(t._rank[n]))
+    rep = tables.verify_identities(t)
+    assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == failures
