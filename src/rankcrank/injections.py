@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import enum
 
-from .partitions import enumerate_partitions
+from .partitions import conjugate, enumerate_partitions
 from .report import CheckRecorder, VerifyReport
 from .statistics import rank, rank_set_contains
-from .symbols import MDurfeeSymbol, format_symbol, rank_at_least, rank_set_has_m, to_symbol
+from .symbols import MDurfeeSymbol, _symbol, format_symbol, rank_at_least, rank_set_has_m
 
 
 class SymbolClass(enum.Enum):
@@ -206,11 +206,13 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     for n in range(2, nmax + 1):
         partitions = list(enumerate_partitions(n))
         ranks = [rank(lam) for lam in partitions]
+        # each symbol slices alpha from its partition's one conjugate
+        columns = [conjugate(lam) for lam in partitions]
         for m in range(0, mmax + 1):
             p_members: list[tuple[MDurfeeSymbol, SymbolClass]] = []
             q_members: list[MDurfeeSymbol] = []
-            for lam, lam_rank in zip(partitions, ranks):
-                sym = to_symbol(lam, m)
+            for lam, lam_rank, lam_columns in zip(partitions, ranks, columns):
+                sym = _symbol(lam, lam_columns, m)
                 in_p = lam_rank >= -m + 1
                 in_q = rank_set_contains(lam, m)
                 witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
@@ -253,14 +255,15 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
                         lambda: {"m": m, "n": n, "image": format_symbol(image)},
                     )
                     rec.expect("pi-inverts-theta3", pi(image) == sym, witness)
+            image_set = set(images)
             rec.expect(
                 "theta-injective",
-                len(set(images)) == len(images),
+                len(image_set) == len(images),
                 lambda: {"m": m, "n": n},
             )
             rec.expect(
                 "theta-image-in-q",
-                set(images) <= set(q_members),
+                image_set <= set(q_members),
                 lambda: {"m": m, "n": n},
             )
             gap = len(q_members) - len(p_members)

@@ -91,8 +91,9 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         return
     x = [n]
     h = 0 if n > 1 else -1  # index of the last part exceeding 1
+    new = tuple.__new__  # x is sorted: one copy, no re-validation
     while True:
-        yield Partition._from_sorted(x)
+        yield new(Partition, x)
         if h < 0:
             return
         v = x[h] - 1

@@ -35,20 +35,33 @@ TIE_BREAKS = ("lex-descending", "lex-ascending")
 
 @dataclass
 class ReorderingMap:
-    """tau for one weight: pairs[i] = (lambda, tau(lambda)), crank-ascending,
-    with cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda))."""
+    """tau for one weight, held as positions into the weight's listing.
+
+    The i-th pair, crank-ascending, is (lambda, tau(lambda)) =
+    (partitions[by_crank[i]], partitions[by_rank[i]]), with
+    cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda)).  The
+    list `pairs` is built on demand from those positions.
+    """
 
     n: int
     tie_break: str
-    pairs: list[tuple[Partition, Partition]]
+    partitions: list[Partition] = field(repr=False)
+    by_crank: list[int] = field(repr=False)
+    by_rank: list[int] = field(repr=False)
     cranks: list[int] = field(repr=False)
     ranks: list[int] = field(repr=False)
     _lookup: dict[Partition, Partition] | None = field(default=None, repr=False)
 
+    @property
+    def pairs(self) -> list[tuple[Partition, Partition]]:
+        """[(lambda, tau(lambda)), ...] in crank-ascending order."""
+        partitions = self.partitions
+        return [(partitions[i], partitions[k]) for i, k in zip(self.by_crank, self.by_rank)]
+
     def apply(self, partition: Partition) -> Partition:
         """tau(partition); raises KeyError for a partition of the wrong weight."""
         if self._lookup is None:
-            self._lookup = {lam: mu for lam, mu in self.pairs}
+            self._lookup = dict(self.pairs)
         return self._lookup[Partition(partition)]
 
 
@@ -73,9 +86,11 @@ def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
     return ReorderingMap(
         n=n,
         tie_break=tie_break,
-        pairs=[(partitions[i], partitions[k]) for i, k in zip(by_crank, by_rank)],
-        cranks=[cranks[i] for i in by_crank],
-        ranks=[ranks[k] for k in by_rank],
+        partitions=partitions,
+        by_crank=by_crank,
+        by_rank=by_rank,
+        cranks=list(map(cranks.__getitem__, by_crank)),
+        ranks=list(map(ranks.__getitem__, by_rank)),
     )
 
 
@@ -101,8 +116,10 @@ def ospt_via_tau(rmap: ReorderingMap) -> int:
 def fixed_point_check(rmap: ReorderingMap) -> bool:
     """tau must fix the one-part partition (n), which maximizes both statistics."""
     top = Partition([rmap.n])
+    partitions = rmap.partitions
     # (n) alone has the largest crank, so its pair is normally the last one
-    return any(lam == top and mu == top for lam, mu in reversed(rmap.pairs))
+    return any(partitions[i] == top and partitions[k] == top
+               for i, k in zip(reversed(rmap.by_crank), reversed(rmap.by_rank)))
 
 
 def case_condition_holds(lam_crank: int, difference: int) -> bool:
@@ -114,20 +131,46 @@ def case_condition_holds(lam_crank: int, difference: int) -> bool:
     return difference in (0, -1)
 
 
+def _scan(rmap: ReorderingMap, cum_crank: list[int], cum_rank: list[int]) -> tuple:
+    """One pass over the crank-ascending statistics of tau: the first
+    failing position (1-based, 0 for none) of the case condition, the
+    cumulative windows and the membership chain, the positive-rank sum
+    through tau, and ospt via tau.  It reads only `rmap.cranks`,
+    `rmap.ranks` and the weight's cumulative columns."""
+    n = rmap.n
+    positive_rank_sum = 0
+    bad_case = bad_bracket = bad_chain = 0
+    for i, (a, b) in enumerate(zip(rmap.cranks, rmap.ranks), start=1):
+        if not bad_case and not case_condition_holds(a, a - b):
+            bad_case = i
+        if not bad_bracket and not (
+                cum_crank[a + n] < i <= cum_crank[a + n + 1]
+                and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
+            bad_bracket = i
+        if not bad_chain and ((b > 0 and not a > 0) or (a > 0 and not b >= 0)):
+            bad_chain = i
+        if a > 0:
+            positive_rank_sum += b
+    return bad_case, bad_bracket, bad_chain, positive_rank_sum, ospt_via_tau(rmap)
+
+
 def verify_reordering(nmax: int, table) -> VerifyReport:
     """The full tau suite for 2 <= n <= nmax under both tie-breaks.
 
     Checks, per weight and tie-break: the case condition; that tau is a
     bijection fixing (n) on a listing of each of the p(n) partitions
-    exactly once; that position i sits inside both cumulative
+    exactly once, with both position orders permutations of that
+    listing; that position i sits inside both cumulative
     windows, M(<= a-1, n) < i <= M(<= a, n) for a = crank(lambda_i) and
     the rank analogue for its image; the membership chain
     rank(tau) > 0 => crank > 0 => rank(tau) >= 0; the transfer of the
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).  Each weight is
-    listed once, with its cranks and ranks, for both tie-breaks.  The
-    cumulative counts and moments come from `table`, which must cover
-    n <= nmax.
+    listed once, with its cranks and ranks, for both tie-breaks.  Both
+    tie-breaks sort the same statistic values, so the statistics scan
+    runs again for the second only if its lists differ from the first's.
+    The cumulative counts and moments come from `table`, which must
+    cover n <= nmax.
     """
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
@@ -136,23 +179,24 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
         listing = _listing(n)
-        everything = set(listing[0])
+        partitions = listing[0]
         # the listing must hold each of the p(n) partitions exactly once
-        listed, distinct, pn = len(listing[0]), len(everything), partition_count(n)
+        listed, distinct, pn = len(partitions), len(set(partitions)), partition_count(n)
+        positions = list(range(pn))
         # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n
         cum_crank = [table.cum_crank(a, n) for a in range(-n - 1, n + 1)]
         cum_rank = [table.cum_rank(a, n) for a in range(-n - 1, n + 1)]
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
         ospt_moments = table.ospt_moments(n)
         ospt_values = set()
+        scanned = None  # the map the last scan read
         for tie_break in TIE_BREAKS:
             rmap = _tau(n, tie_break, listing)
-            pairs = rmap.pairs
+            by_crank, by_rank = rmap.by_crank, rmap.by_rank
             rec.expect(
                 "tau-is-bijection",
                 listed == pn == distinct
-                and {lam for lam, _ in pairs} == everything
-                and {mu for _, mu in pairs} == everything,
+                and sorted(by_crank) == positions and sorted(by_rank) == positions,
                 lambda: {"n": n, "tie_break": tie_break, "listed": listed,
                          "distinct": distinct, "p": pn},
             )
@@ -161,25 +205,16 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 fixed_point_check(rmap),
                 lambda: {"n": n, "tie_break": tie_break},
             )
-            positive_rank_sum = 0
-            bad_case = bad_bracket = bad_chain = 0  # first failing position
-            for i, (a, b) in enumerate(zip(rmap.cranks, rmap.ranks), start=1):
-                if not bad_case and not case_condition_holds(a, a - b):
-                    bad_case = i
-                if not bad_bracket and not (
-                        cum_crank[a + n] < i <= cum_crank[a + n + 1]
-                        and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
-                    bad_bracket = i
-                if not bad_chain and ((b > 0 and not a > 0) or (a > 0 and not b >= 0)):
-                    bad_chain = i
-                if a > 0:
-                    positive_rank_sum += b
+            if scanned is None or rmap.cranks != scanned.cranks or rmap.ranks != scanned.ranks:
+                scan = _scan(rmap, cum_crank, cum_rank)
+                scanned = rmap
+            bad_case, bad_bracket, bad_chain, positive_rank_sum, via_tau = scan
 
             def statistics_witness(i: int) -> dict:
-                lam, mu = pairs[i - 1]
-                return {"n": n, "tie_break": tie_break, "partition": list(lam),
-                        "image": list(mu), "crank": rmap.cranks[i - 1],
-                        "rank_of_image": rmap.ranks[i - 1]}
+                return {"n": n, "tie_break": tie_break,
+                        "partition": list(partitions[by_crank[i - 1]]),
+                        "image": list(partitions[by_rank[i - 1]]),
+                        "crank": rmap.cranks[i - 1], "rank_of_image": rmap.ranks[i - 1]}
 
             rec.expect("tau-case-condition", not bad_case,
                        lambda: statistics_witness(bad_case))
@@ -187,8 +222,8 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 "tau-position-in-cumulative-window",
                 not bad_bracket,
                 lambda: {"n": n, "tie_break": tie_break, "position": bad_bracket,
-                         "partition": list(pairs[bad_bracket - 1][0]),
-                         "image": list(pairs[bad_bracket - 1][1])},
+                         "partition": list(partitions[by_crank[bad_bracket - 1]]),
+                         "image": list(partitions[by_rank[bad_bracket - 1]])},
             )
             rec.expect("tau-membership-chain", not bad_chain,
                        lambda: statistics_witness(bad_chain))
@@ -198,7 +233,6 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
                          "via_moments": expected_sum},
             )
-            via_tau = ospt_via_tau(rmap)
             ospt_values.add(via_tau)
             rec.expect(
                 "ospt-tau-matches-moments",

@@ -62,7 +62,8 @@ def crank(partition: Sequence[int]) -> int:
     """
     if not partition:
         raise ValueError("crank is undefined for the empty partition")
-    omega = ones_count(partition)
+    # the ones are a suffix, so counting them anywhere is exact
+    omega = partition.count(1)
     if omega == 0:
         return partition[0]
     big = 0

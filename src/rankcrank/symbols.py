@@ -6,7 +6,9 @@ Ferrers diagram (j maximal; j = 0 when the partition has at most m
 parts, giving a degenerate m x 0 rectangle).  What remains splits into
 
 * alpha: the columns strictly to the right of the rectangle, read as
-  column heights, each <= m + j, and
+  column heights, each <= m + j.  Each of those columns ends inside
+  the rectangle's m + j rows, so alpha is the conjugate's tail right
+  of column j, and
 * beta: the rows strictly below the rectangle, each <= j.
 
 The triple is written (alpha | beta) with the rectangle as a subscript,
@@ -105,8 +107,11 @@ class MDurfeeSymbol:
 def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     """Decompose a partition against its m-Durfee rectangle.
 
-    The partition is taken as valid, so the symbol is built without
-    re-checking the invariants its construction already guarantees.
+    beta is the rows below the rectangle; alpha is the tail of the
+    partition's conjugate right of column j, since every column past
+    the rectangle ends inside its m + j rows.  The partition is taken
+    as valid, so the symbol is built without re-checking the invariants
+    its construction already guarantees.
 
     >>> str(to_symbol(Partition([7, 7, 6, 4, 3, 3, 2, 2, 2]), 2))
     '[4,3,3,2 | 3,2,2,2]_(5x3)'
@@ -115,17 +120,20 @@ def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     """
     if m < 0:
         raise ValueError("the rectangle offset m must be >= 0")
+    return _symbol(partition, conjugate(partition), m)
+
+
+def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurfeeSymbol:
+    # `to_symbol` for m >= 0 with columns = conjugate(partition) given, so
+    # a caller trying several m conjugates each partition once
     length = len(partition)
     j = 0
     if length > m:
         j = 1
         while m + j + 1 <= length and partition[m + j] >= j + 1:
             j += 1
-    # the top m + j rows fill the first j columns; alpha is the rest of
-    # their conjugate (a slice, so a plain tuple)
-    alpha = conjugate(partition[:m + j])[j:]
-    beta = tuple(partition[m + j:])
-    return MDurfeeSymbol._trusted(m, j, alpha, beta)
+    # slices of tuples are plain tuples
+    return MDurfeeSymbol._trusted(m, j, columns[j:], tuple(partition[m + j:]))
 
 
 def from_symbol(symbol: MDurfeeSymbol) -> Partition:

@@ -170,3 +170,31 @@ def test_tau_bijection_detects_bad_listing(monkeypatch, table30):
         witness = check.witness
         assert witness["n"] == 5, fault
         assert (witness["listed"], witness["distinct"], witness["p"]) == counts, fault
+
+
+def test_verify_reordering_witnesses_pinned(monkeypatch, table30):
+    # witnesses read the failing position's own partition and image
+    real_case = reordering.case_condition_holds
+    monkeypatch.setattr(reordering, "case_condition_holds",
+                        lambda c, d: c != 2 and real_case(c, d))
+    rep = verify_reordering(8, table=table30)
+    assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == {
+        "tau-case-condition": {"n": 2, "tie_break": "lex-descending", "partition": [2],
+                               "image": [2], "crank": 2, "rank_of_image": 1},
+    }
+    monkeypatch.setattr(reordering, "case_condition_holds", real_case)
+
+    class OffByOne:
+        # table30 with M(<= 1, 7) read one too high
+        def __getattr__(self, name):
+            return getattr(table30, name)
+
+        def cum_crank(self, m, n):
+            return table30.cum_crank(m, n) + (m == 1 and n == 7)
+
+    rep = verify_reordering(8, table=OffByOne())
+    assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == {
+        "tau-position-in-cumulative-window": {
+            "n": 7, "tie_break": "lex-descending", "position": 11,
+            "partition": [2, 2, 2, 1], "image": [5, 1, 1]},
+    }

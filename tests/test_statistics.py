@@ -35,6 +35,15 @@ def test_crank_with_ones():
     assert crank((3, 3, 1)) == 1
 
 
+def test_crank_matches_ones_count_definition():
+    # crank counts the ones with count(1); ones_count reads the suffix
+    for n in range(1, 26):
+        for p in enumerate_partitions(n):
+            omega = ones_count(p)
+            expected = p[0] if omega == 0 else sum(1 for v in p if v > omega) - omega
+            assert crank(p) == expected, tuple(p)
+
+
 def test_statistics_reject_empty():
     for fn in (rank, crank, smallest_part_count):
         with pytest.raises(ValueError):

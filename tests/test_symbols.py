@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rankcrank.partitions import Partition, enumerate_partitions
+from rankcrank.partitions import Partition, conjugate, enumerate_partitions
 from rankcrank.statistics import rank, rank_set_contains
 from rankcrank.symbols import (
     MDurfeeSymbol,
@@ -79,6 +79,20 @@ def test_to_symbol_equals_validated_symbol():
         MDurfeeSymbol(m=1, j=2, alpha=(1, 2), beta=())  # alpha not decreasing
     with pytest.raises(ValueError):
         MDurfeeSymbol(m=1, j=2, alpha=(), beta=(2, 0))  # beta entry not positive
+
+
+def test_symbol_alpha_is_conjugate_slice():
+    # every column right of the rectangle ends inside its m + j rows, so
+    # alpha is the whole conjugate's tail right of column j, and to_symbol
+    # equals the validated symbol built from the top m + j rows alone
+    for n in range(0, 23):
+        for p in enumerate_partitions(n):
+            columns = conjugate(p)
+            for m in range(0, 9):
+                s = to_symbol(p, m)
+                j = s.j
+                assert s == MDurfeeSymbol(m, j, conjugate(p[:m + j])[j:], p[m + j:]), (tuple(p), m)
+                assert s.alpha == columns[j:], (tuple(p), m)
 
 
 def test_round_trip_exhaustive():

@@ -293,3 +293,35 @@ def test_verify_identities_witnesses_at_range_ends(row, m, failures):
         t._rank_prefix[n] = list(accumulate(t._rank[n]))
     rep = tables.verify_identities(t)
     assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == failures
+
+
+def test_odd_spt_numerator_fails_spt_checks_without_raising():
+    # +1 on the rank cell m = 3 of weight 6 moves N_2(6) by 9, so
+    # 2n p(n) - N_2(n) = 43 is odd: every check reading spt(6) fails with
+    # that value, and neither suite raises
+    t = tables.build(6)
+    t._rank[6][3 + 6] += 1
+    t._rank_prefix[6] = list(accumulate(t._rank[6]))
+    odd = {"n": 6, "2np-N2": 43}
+    with pytest.raises(ArithmeticError):
+        t.spt(6)
+    identities = tables.verify_identities(t)
+    assert {c.id: c.witness for c in identities.checks if c.status == "fail"} == {
+        "cum-chain-nonnegative-m": {"n": 6, "m": 4, "cum_rank_prev": 11, "cum_crank": 10,
+                                    "cum_rank": 11},
+        "cum-difference-transfer": {"n": 6, "m": -8},
+        "rank-cum-complement": {"n": 6, "m": -8},
+        "rank-first-moment-vanishes": {"n": 6, "N1": 3},
+        "rank-row-sums-to-p": {"n": 6, "total": 12, "p": 11},
+        "rank-set-count-dominates-rank-tail": {"n": 6, "m": 2, "q": 8, "p_ge": 9},
+        "rank-symmetric-in-m": {"n": 6, "m": 3},
+        "spt-moment-routes-agree": odd,
+        "spt-tally-matches-moments": odd,
+    }
+    bounds = tables.verify_bounds(t)
+    assert {c.id: c.witness for c in bounds.checks if c.status == "fail"} == {
+        "spt-at-least-sqrt-6n-over-pi-p": odd,
+        "spt-at-most-abs-crank-sum": odd,
+        "spt-at-most-sqrt-2n-p": odd,
+        "spt-at-most-sqrt-n-p": odd,
+    }
