@@ -15,8 +15,10 @@ the chosen methods: moments 60, tau 60, genfun 100.  `verify --suite
 all` clamps each table suite to its backend's cap, the tau suite to 40
 and the injection suite to 30, after checking every component's lower
 bound.  Anything outside these ranges exits 2 before any work starts.
-One enumeration table per `verify` run, at the largest nmax any
-component needs from it, serves the injection and tau suites too.
+A `verify` run builds at most two tables before its first suite: one
+enumeration table, at the largest nmax any component needs from it,
+and, on the arithmetic backend, one accelerated table for the table
+suites.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .report import VerifyReport
 from .symbols import format_symbol, parse_symbol, to_symbol
 
 SUITES = ("identities", "injections", "tau", "bounds", "genfun", "all")
+# The map suites list partitions and read the enumeration table on either
+# backend; the other three read the chosen backend's table and share one
+# range row.
+MAP_SUITES = ("injections", "tau")
+TABLE_SUITES = "verify identities/bounds/genfun"
 
 
 class Range(NamedTuple):
@@ -41,21 +48,15 @@ class Range(NamedTuple):
     highest_in_all: int | None = None  # the clamp under `verify --suite all`
 
 
-# (command or "verify <suite>", backend or ospt method) -> nmax range.  A
-# verify suite's backend is "extended" under --extended; a row keyed None
-# serves every backend.
+# (command or "verify <suite family>", backend or ospt method) -> nmax
+# range.  A verify suite's backend is "extended" under --extended; a row
+# keyed None serves every backend.
 RANGES = {
     ("table", "enumerated"): Range(1, None, 60),
     ("table", "accelerated"): Range(1, None, 100),
-    ("verify identities", "enumerated"): Range(1, 60, 60, 60),
-    ("verify identities", "accelerated"): Range(1, 60, 100, 100),
-    ("verify identities", "extended"): Range(1, 100, 100, 100),
-    ("verify bounds", "enumerated"): Range(1, 60, 60, 60),
-    ("verify bounds", "accelerated"): Range(1, 60, 100, 100),
-    ("verify bounds", "extended"): Range(1, 100, 100, 100),
-    ("verify genfun", "enumerated"): Range(1, 60, 60, 60),
-    ("verify genfun", "accelerated"): Range(1, 60, 100, 100),
-    ("verify genfun", "extended"): Range(1, 100, 100, 100),
+    (TABLE_SUITES, "enumerated"): Range(1, 60, 60, 60),
+    (TABLE_SUITES, "accelerated"): Range(1, 60, 100, 100),
+    (TABLE_SUITES, "extended"): Range(1, 100, 100, 100),
     ("verify tau", None): Range(2, 40, 60, 40),
     ("verify injections", None): Range(2, 30, 40, 30),
     ("tau", None): Range(2, None, 60),
@@ -73,8 +74,6 @@ class UsageError(Exception):
 def _nmax(key: tuple[str, str | None], wanted: int | None, clamp: bool = False) -> int:
     """`wanted` (the row's default when None), clamped under --suite all,
     checked against the RANGES row for `key`."""
-    if key not in RANGES:
-        key = (key[0], None)
     row = RANGES[key]
     value = row.default if wanted is None else wanted
     if clamp:
@@ -136,20 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
 # -- table ---------------------------------------------------------------
 
 
-def _table(nmax: int, backend: str, cache: dict) -> tables.StatTable:
-    """The `backend` table through nmax, built at most once per `cache`,
-    which lives for one invocation."""
-    key = (backend, _nmax(("table", backend), nmax))
-    if key not in cache:
-        cache[key] = (tables.build if backend == "enumerated"
-                      else tables.build_accelerated)(nmax)
-    return cache[key]
+def _table(nmax: int, backend: str) -> tables.StatTable:
+    """The `backend` table through nmax, checked against its range row."""
+    _nmax(("table", backend), nmax)
+    return (tables.build if backend == "enumerated" else tables.build_accelerated)(nmax)
 
 
 def cmd_table(args) -> int:
     single = args.n is not None
     nmax = args.n if single else args.nmax
-    table = _table(nmax, args.backend, {})
+    table = _table(nmax, args.backend)
     weights = [nmax] if single else range(1, nmax + 1)
     columns, cells = {
         "rank": (("N",), (table.rank_count,)),
@@ -189,27 +184,6 @@ def cmd_table(args) -> int:
 # -- verify --------------------------------------------------------------
 
 
-def _run_one_suite(suite: str, nmax: int, backend: str, cache: dict,
-                   enumerated_nmax: int) -> VerifyReport:
-    """Run one suite; injections and tau read the plan's one enumerated
-    table, whose rows n <= their nmax do not depend on its own nmax."""
-    if suite == "identities":
-        return tables.verify_identities(_table(nmax, backend, cache))
-    if suite == "bounds":
-        return tables.verify_bounds(_table(nmax, backend, cache))
-    if suite == "injections":
-        return injections.verify_injections(
-            mmax=6, nmax=nmax, table=_table(enumerated_nmax, "enumerated", cache))
-    if suite == "tau":
-        return reordering.verify_reordering(
-            nmax, table=_table(enumerated_nmax, "enumerated", cache))
-    if suite == "genfun":
-        return qseries.verify_genfun(
-            nmax, _table(nmax, backend, cache),
-            tau_limit=min(nmax, RANGES[("verify tau", None)].default))
-    raise AssertionError(suite)
-
-
 def cmd_verify(args) -> int:
     backend = args.backend
     if args.extended and backend == "enumerated":
@@ -217,19 +191,36 @@ def cmd_verify(args) -> int:
     if backend is None:
         backend = "accelerated" if args.extended else "enumerated"
     variant = "extended" if args.extended else backend
-    # every component is checked before the first suite runs
-    plan = {suite: _nmax((f"verify {suite}", variant), args.nmax, args.suite == "all")
+    # every component is checked before the first table is built
+    plan = {suite: _nmax((f"verify {suite}", None) if suite in MAP_SUITES
+                         else (TABLE_SUITES, variant), args.nmax, args.suite == "all")
             for suite in (SUITES[:-1] if args.suite == "all" else (args.suite,))}
-    # one enumeration table serves every component that reads one
-    enumerated_nmax = max(
-        (nmax for suite, nmax in plan.items()
-         if suite in ("injections", "tau") or backend == "enumerated"), default=None)
+    # At most two tables.  One enumeration table, at the largest nmax any
+    # component reads from it, serves the map suites (their rows n <= nmax
+    # do not depend on the table's own nmax) and, on the enumeration
+    # backend, the table suites, whose shared nmax is then that largest.
+    enumerated_nmax = max((nmax for suite, nmax in plan.items()
+                           if suite in MAP_SUITES or backend == "enumerated"), default=None)
+    table_nmax = next((nmax for suite, nmax in plan.items() if suite not in MAP_SUITES), None)
     started = time.monotonic()
-    cache: dict = {}
+    enumerated = table = None
+    if enumerated_nmax is not None:
+        enumerated = table = _table(enumerated_nmax, "enumerated")
+    if backend == "accelerated" and table_nmax is not None:
+        table = _table(table_nmax, "accelerated")
+    run = {
+        "identities": lambda nmax: tables.verify_identities(table),
+        "bounds": lambda nmax: tables.verify_bounds(table),
+        "injections": lambda nmax: injections.verify_injections(
+            mmax=6, nmax=nmax, table=enumerated),
+        "tau": lambda nmax: reordering.verify_reordering(nmax, table=enumerated),
+        "genfun": lambda nmax: qseries.verify_genfun(
+            nmax, table, tau_limit=min(nmax, RANGES[("verify tau", None)].default)),
+    }
     reports = []
     for suite, nmax in plan.items():
         _narrate(f"running suite {suite} (nmax={nmax})...")
-        reports.append(_run_one_suite(suite, nmax, backend, cache, enumerated_nmax))
+        reports.append(run[suite](nmax))
     if args.suite == "all":
         merged = VerifyReport(
             suite="all",
@@ -348,7 +339,7 @@ def cmd_ospt(args) -> int:
     max_n = min(_nmax(("ospt", m), args.max_n) for m in methods)
     values: dict[str, dict[int, int]] = {m: {} for m in methods}
     if "moments" in methods:
-        table = _table(max_n, "enumerated", {})
+        table = _table(max_n, "enumerated")
         for n in range(1, max_n + 1):
             values["moments"][n] = table.ospt_moments(n)
     if "tau" in methods:

@@ -47,14 +47,6 @@ class SymbolClass(enum.Enum):
     Q2 = ("Q", 2)
     Q3 = ("Q", 3)
 
-    @property
-    def side(self) -> str:
-        return self.value[0]
-
-    @property
-    def index(self) -> int:
-        return self.value[1]
-
 
 def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
     """Place a symbol in P1/P2/P3 or Q1/Q2/Q3, or None if not in the family.
@@ -87,7 +79,7 @@ def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
 
 
 def _require(symbol: MDurfeeSymbol, wanted: SymbolClass, op: str) -> None:
-    got = classify(symbol, wanted.side)
+    got = classify(symbol, wanted.name[0])
     if got is not wanted:
         raise ValueError(
             f"{op} needs a {wanted.name} symbol, got {got.name if got else 'non-member'}:"

@@ -17,6 +17,20 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 
+def _weakly_decreasing_positive(parts: Iterable[int], label: str) -> tuple[int, ...]:
+    """`parts` as a plain tuple, checked to be weakly decreasing positive
+    integers; an error names the checked sequence by `label`."""
+    t = tuple(parts)
+    prev = None
+    for v in t:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{label} must be positive integers, got {v!r}")
+        if prev is not None and v > prev:
+            raise ValueError(f"{label} must be weakly decreasing, got {t}")
+        prev = v
+    return t
+
+
 class Partition(tuple):
     """An integer partition stored as a tuple of weakly decreasing parts.
 
@@ -29,15 +43,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        t = tuple(parts)
-        prev = None
-        for v in t:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"parts must be positive integers, got {v!r}")
-            if prev is not None and v > prev:
-                raise ValueError(f"parts must be weakly decreasing, got {t}")
-            prev = v
-        return tuple.__new__(cls, t)
+        return tuple.__new__(cls, _weakly_decreasing_positive(parts, "parts"))
 
     @classmethod
     def _from_sorted(cls, parts: Iterable[int]) -> "Partition":

@@ -50,19 +50,12 @@ class ReorderingMap:
     by_rank: list[int] = field(repr=False)
     cranks: list[int] = field(repr=False)
     ranks: list[int] = field(repr=False)
-    _lookup: dict[Partition, Partition] | None = field(default=None, repr=False)
 
     @property
     def pairs(self) -> list[tuple[Partition, Partition]]:
         """[(lambda, tau(lambda)), ...] in crank-ascending order."""
         partitions = self.partitions
         return [(partitions[i], partitions[k]) for i, k in zip(self.by_crank, self.by_rank)]
-
-    def apply(self, partition: Partition) -> Partition:
-        """tau(partition); raises KeyError for a partition of the wrong weight."""
-        if self._lookup is None:
-            self._lookup = dict(self.pairs)
-        return self._lookup[Partition(partition)]
 
 
 _Listing = tuple[list[Partition], list[int], list[int]]
@@ -167,10 +160,9 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).  Each weight is
     listed once, with its cranks and ranks, for both tie-breaks.  Both
-    tie-breaks sort the same statistic values, so the statistics scan
-    runs again for the second only if its lists differ from the first's.
-    The cumulative counts and moments come from `table`, which must
-    cover n <= nmax.
+    tie-breaks sort the same statistic values into the same ascending
+    lists, so the statistics scan runs once per weight.  The cumulative
+    counts and moments come from `table`, which must cover n <= nmax.
     """
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
@@ -189,7 +181,7 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
         ospt_moments = table.ospt_moments(n)
         ospt_values = set()
-        scanned = None  # the map the last scan read
+        scan = None
         for tie_break in TIE_BREAKS:
             rmap = _tau(n, tie_break, listing)
             by_crank, by_rank = rmap.by_crank, rmap.by_rank
@@ -205,9 +197,8 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 fixed_point_check(rmap),
                 lambda: {"n": n, "tie_break": tie_break},
             )
-            if scanned is None or rmap.cranks != scanned.cranks or rmap.ranks != scanned.ranks:
+            if scan is None:
                 scan = _scan(rmap, cum_crank, cum_rank)
-                scanned = rmap
             bad_case, bad_bracket, bad_chain, positive_rank_sum, via_tau = scan
 
             def statistics_witness(i: int) -> dict:

@@ -96,7 +96,7 @@ class CheckRecorder:
     first false condition; `witness` may be a dict or a zero-argument
     callable producing one, and is read only for the first failure of
     each check.  Suites call it once per check and scope; a scope of
-    many instances is scanned for its first failure first, and the
+    many instances is searched for its first failure first, and the
     witness is built only when that scan failed, so a passing scan
     builds no closure.  The suite's clock starts when the recorder is
     made, and `report` reads it.

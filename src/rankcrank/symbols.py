@@ -30,21 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from .partitions import Partition, conjugate
-
-
-def _as_partition_tuple(parts: Iterable[int], label: str) -> tuple[int, ...]:
-    t = tuple(parts)
-    prev = None
-    for v in t:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{label} entries must be positive integers, got {v!r}")
-        if prev is not None and v > prev:
-            raise ValueError(f"{label} must be weakly decreasing, got {t}")
-        prev = v
-    return t
+from .partitions import Partition, _weakly_decreasing_positive, conjugate
 
 
 @dataclass(frozen=True)
@@ -66,8 +54,8 @@ class MDurfeeSymbol:
             raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
         if not isinstance(self.j, int) or self.j < 0:
             raise ValueError(f"j must be a non-negative integer, got {self.j!r}")
-        object.__setattr__(self, "alpha", _as_partition_tuple(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _as_partition_tuple(self.beta, "beta"))
+        object.__setattr__(self, "alpha", _weakly_decreasing_positive(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _weakly_decreasing_positive(self.beta, "beta"))
         if self.alpha and self.alpha[0] > self.m + self.j:
             raise ValueError(
                 f"alpha entries must be <= m + j = {self.m + self.j}, got {self.alpha}"

@@ -6,10 +6,10 @@
 * M(m, n): partitions of n with crank m, and
 * q(m, n): partitions of n whose rank-set contains m,
 
-densely over |m| <= n (the q row over |m| <= n + 2), with prefix and
-suffix sums so cumulative queries cost O(1).  All entries are Python
-ints, so counts and moments are exact at any size: arithmetic cannot
-overflow or wrap, it just grows.
+densely over |m| <= n (the q row over -n <= m <= n + 2), each cell m
+of weight n at index m + n, with prefix sums so cumulative queries
+cost O(1).  All entries are Python ints, so counts and moments are
+exact at any size: arithmetic cannot overflow or wrap, it just grows.
 
 Weight-1 convention: the crank row of n = 1 is M(0, 1) = -1 and
 M(-1, 1) = M(1, 1) = 1.  This is a counting convention applied at the
@@ -66,7 +66,7 @@ class StatTable:
         self.provenance = provenance  # "enumerated" or "accelerated"
         self._rank = rank_rows    # _rank[n]: list of 2n+1 counts, index m + n
         self._crank = crank_rows  # same layout
-        self._q = q_rows          # _q[n]: list of 2n+5 counts, index m + n + 2
+        self._q = q_rows          # _q[n]: 2n+3 counts for -n <= m <= n + 2, index m + n
         self._spt = spt_tallies   # _spt[n]: smallest-part tally, or None
         self._rank_prefix = [None] + [list(accumulate(rank_rows[n])) for n in range(1, nmax + 1)]
         self._crank_prefix = [None] + [list(accumulate(crank_rows[n])) for n in range(1, nmax + 1)]
@@ -102,7 +102,7 @@ class StatTable:
             return 0
         if m > n + 2:
             return self.rank_total(n)
-        return self._q[n][m + n + 2]
+        return self._q[n][m + n]
 
     def rank_total(self, n: int) -> int:
         self._check_n(n)
@@ -282,13 +282,13 @@ def build(nmax: int) -> StatTable:
                 crank_row[top + n] += count
         if n == 1:
             crank_row = [WEIGHT_ONE_CRANK_ROW[m] for m in (-1, 0, 1)]
-        q_row = point_run[q_off - n - 2:q_off + n + 3]
+        q_row = point_run[q_off - n:q_off + n + 3]
         in_tail = 0
         for m in range(n + 3):
             in_tail += tail_run[m]
-            q_row[m + n + 2] += in_tail
+            q_row[m + n] += in_tail
         for d in range(1, n + 1):
-            q_row[2 * n + 2 - d] -= gap_run[d]
+            q_row[2 * n - d] -= gap_run[d]
         rank_rows.append(rank_run[:2 * n + 1])
         crank_rows.append(crank_row)
         q_rows.append(q_row)
@@ -381,13 +381,13 @@ def build_accelerated(nmax: int) -> StatTable:
         q_cols.append(col)
     q_rows: list = [None]
     for n in range(1, nmax + 1):
-        q_rows.append([ps[n] - q_cols[-m - 1][n] for m in range(-n - 2, 0)]
+        q_rows.append([ps[n] - q_cols[-m - 1][n] for m in range(-n, 0)]
                       + [q_cols[m][n] for m in range(n + 3)])
     return StatTable(nmax, rank_rows, crank_rows, q_rows, None, "accelerated")
 
 
-def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport:
-    """Exact identity checks across the table, 1 <= n <= nmax.
+def verify_identities(table: StatTable) -> VerifyReport:
+    """Exact identity checks across the table, 1 <= n <= table.nmax.
 
     Covered: row sums against the pentagonal-recurrence p(n); the
     m <-> -m symmetries; the crank-cumulation/rank-set equality
@@ -400,10 +400,7 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
     moment identities N_1 = 0, M_2 = 2n p, and the two spt routes
     (plus the tallied route when the table carries one).
     """
-    if nmax is None:
-        nmax = table.nmax
-    if not 1 <= nmax <= table.nmax:
-        raise ValueError(f"nmax must be in 1..{table.nmax}")
+    nmax = table.nmax
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
@@ -486,8 +483,9 @@ def verify_identities(table: StatTable, nmax: int | None = None) -> VerifyReport
     return rec.report("identities", {"nmin": 1, "nmax": nmax, "backend": table.provenance})
 
 
-def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
-    """Inequality checks, integer-exact wherever the bound is algebraic.
+def verify_bounds(table: StatTable) -> VerifyReport:
+    """Inequality checks for 1 <= n <= table.nmax, integer-exact wherever
+    the bound is algebraic.
 
     Square-root bounds compare squares; the sqrt(6n)/pi lower bound
     multiplies through by a rational lower approximation of pi^2, which
@@ -496,10 +494,7 @@ def verify_bounds(table: StatTable, nmax: int | None = None) -> VerifyReport:
     ratios (no pass/fail semantics): the cumulation gaps at the largest
     n in range divided by their predicted main terms.
     """
-    if nmax is None:
-        nmax = table.nmax
-    if not 1 <= nmax <= table.nmax:
-        raise ValueError(f"nmax must be in 1..{table.nmax}")
+    nmax = table.nmax
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)

@@ -122,10 +122,15 @@ def test_verify_all_merges_and_clamps(capsys):
 def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enumerated_nmax):
     # stand-in tables and suites record who read which table at which nmax
     builds = []
+    accelerated_builds = []
     received = {}
 
     def build(nmax):
         builds.append(nmax)
+        return SimpleNamespace(nmax=nmax)
+
+    def build_accelerated(nmax):
+        accelerated_builds.append(nmax)
         return SimpleNamespace(nmax=nmax)
 
     def record(name, nmax, table):
@@ -133,8 +138,7 @@ def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enu
         return VerifyReport(suite=name, range={"nmax": nmax})
 
     monkeypatch.setattr(tables, "build", build)
-    monkeypatch.setattr(tables, "build_accelerated",
-                        lambda nmax: SimpleNamespace(nmax=nmax))
+    monkeypatch.setattr(tables, "build_accelerated", build_accelerated)
     monkeypatch.setattr(tables, "verify_identities",
                         lambda table: record("identities", table.nmax, table))
     monkeypatch.setattr(tables, "verify_bounds",
@@ -148,6 +152,7 @@ def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enu
     code, out, _ = run(capsys, "verify", "--suite", "all", *flags)
     assert code == 0
     assert builds == [enumerated_nmax]
+    assert accelerated_builds == ([60] if flags else [])
     nmaxes = {name: nmax for name, (nmax, _) in received.items()}
     assert nmaxes == {"identities": 60, "bounds": 60, "genfun": 60,
                       "injections": 30, "tau": 40}
@@ -217,6 +222,13 @@ def test_inject_flag_symbol_mismatch(capsys):
                        "--case", "P2", "--symbol", "[3,1 | 1]_(4x3)")
     assert code == 2
     assert "not in class" in err
+
+
+def test_inject_invalid_symbol_error_names_alpha(capsys):
+    code, out, err = run(capsys, "inject", "--m", "0", "--n", "5",
+                         "--case", "P2", "--symbol", "[3,0 | 1]_(1x1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "alpha" in err
 
 
 def test_inject_empty_class(capsys):

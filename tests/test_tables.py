@@ -230,13 +230,6 @@ def test_verify_bounds_suite(table30):
     assert "spt-at-most-sqrt-n-p" in ids
 
 
-def test_verify_suites_respect_nmax(table30):
-    rep = tables.verify_identities(table30, nmax=10)
-    assert rep.ok and rep.range["nmax"] == 10
-    with pytest.raises(ValueError):
-        tables.verify_identities(table30, nmax=45)
-
-
 def test_failure_reporting_is_witnessed():
     # corrupt one cell and make sure the suite pinpoints it
     t = tables.build(6)
@@ -262,8 +255,11 @@ RANK_EDGE_FAILURES = {
 
 @pytest.mark.parametrize("row, m, failures", [
     ("q", 8, {"crank-cum-equals-rank-set-count": {"n": 6, "m": 8, "cum_crank": 11, "q": 12}}),
-    # q_count reads 0 below m = -n, so the stored cell at -n - 2 is never checked
-    ("q", -8, {}),
+    ("q", -6, {
+        "crank-cum-complement": {"n": 6, "m": 5},
+        "crank-cum-equals-rank-set-count": {"n": 6, "m": -6, "cum_crank": 1, "q": 2},
+        "cum-difference-transfer": {"n": 6, "m": 5},
+    }),
     ("rank", 6, {
         **RANK_EDGE_FAILURES,
         "cum-chain-nonnegative-m": {"n": 6, "m": 7, "cum_rank_prev": 12, "cum_crank": 11,
@@ -282,12 +278,13 @@ RANK_EDGE_FAILURES = {
     }),
 ], ids=["q-top", "q-bottom", "rank-top", "rank-bottom"])
 def test_verify_identities_witnesses_at_range_ends(row, m, failures):
-    # +1 on the first or last stored cell of weight 6 (q at m = +-(n + 2),
-    # rank at m = +-n): each per-m scan must name the same first failing m
+    # +1 on the first or last stored cell of weight 6 (q at m = -n and
+    # n + 2, rank at m = +-n): each per-m scan must name the same first
+    # failing m
     t = tables.build(6)
     n = 6
     if row == "q":
-        t._q[n][m + n + 2] += 1
+        t._q[n][m + n] += 1
     else:
         t._rank[n][m + n] += 1
         t._rank_prefix[n] = list(accumulate(t._rank[n]))
