@@ -303,13 +303,18 @@ def cmd_inject(args) -> int:
             raise UsageError(f"symbol is not in class {args.case}: {format_symbol(sym)}")
     else:
         sym = None
-        from .partitions import enumerate_partitions
+        # The lightest members are [1 | ]_((m+1)x1) in P2 and [1 | ]_((m+2)x2)
+        # in P3, and padding alpha with ones reaches every heavier weight, so
+        # a class is empty exactly when n is below that weight.
+        lightest = args.m + 2 if args.case == "P2" else 2 * args.m + 5
+        if args.n >= lightest:
+            from .partitions import enumerate_partitions
 
-        for lam in enumerate_partitions(args.n):
-            candidate = to_symbol(lam, args.m)
-            if injections.classify(candidate, "P") is wanted:
-                sym = candidate
-                break
+            for lam in enumerate_partitions(args.n):
+                candidate = to_symbol(lam, args.m)
+                if injections.classify(candidate, "P") is wanted:
+                    sym = candidate
+                    break
         if sym is None:
             _narrate(f"{args.case}(-m+1 = {-args.m + 1}, n = {args.n}) is empty")
             return 1

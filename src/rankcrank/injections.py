@@ -48,6 +48,12 @@ class SymbolClass(enum.Enum):
     Q3 = ("Q", 3)
 
 
+# The members as module globals, for the per-symbol paths: on CPython 3.11
+# an attribute read on an Enum class goes through `EnumType.__getattr__`'s
+# slow lookup, about ten times the cost of a global read.
+_P1, _P2, _P3, _Q1, _Q2, _Q3 = SymbolClass
+
+
 def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
     """Place a symbol in P1/P2/P3 or Q1/Q2/Q3, or None if not in the family.
 
@@ -59,22 +65,22 @@ def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
         if not rank_at_least(symbol):
             return None
         if j == 0:
-            return SymbolClass.P1
+            return _P1
         b1 = symbol.beta[0] if symbol.beta else 0
         if b1 == j:
-            return SymbolClass.P1
+            return _P1
         if b1 == j - 1:
-            return SymbolClass.P2
-        return SymbolClass.P3
+            return _P2
+        return _P3
     if side == "Q":
         if not rank_set_has_m(symbol):
             return None
         if j == 0 or len(symbol.beta) - len(symbol.alpha) <= -1:
-            return SymbolClass.Q1
+            return _Q1
         g1 = symbol.alpha[0] if symbol.alpha else 0
         if g1 < symbol.m + j:
-            return SymbolClass.Q2
-        return SymbolClass.Q3
+            return _Q2
+        return _Q3
     raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
 
 
@@ -89,7 +95,7 @@ def _require(symbol: MDurfeeSymbol, wanted: SymbolClass, op: str) -> None:
 
 def theta1(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     """Identity on P1 (which coincides with Q1)."""
-    _require(symbol, SymbolClass.P1, "theta1")
+    _require(symbol, _P1, "theta1")
     return symbol
 
 
@@ -103,10 +109,10 @@ def theta2(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     The new bottom leads with (j-1)+1 = j, so m enters the rank-set.
     """
-    _require(symbol, SymbolClass.P2, "theta2")
+    _require(symbol, _P2, "theta2")
     s, t = len(symbol.alpha), len(symbol.beta)
-    gamma = tuple(a - 1 for a in symbol.alpha if a > 1)
-    delta = tuple(b + 1 for b in symbol.beta) + (1,) * (s - t)
+    gamma = [a - 1 for a in symbol.alpha if a > 1]
+    delta = [b + 1 for b in symbol.beta] + [1] * (s - t)
     return MDurfeeSymbol(m=symbol.m, j=symbol.j, alpha=gamma, beta=delta)
 
 
@@ -117,12 +123,12 @@ def sigma(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     with zero bottom entries removed.
     """
-    _require(symbol, SymbolClass.Q2, "sigma")
+    _require(symbol, _Q2, "sigma")
     if not symbol.beta or symbol.beta[-1] != 1:
         raise ValueError(f"sigma needs a trailing 1 in delta: {format_symbol(symbol)}")
     s, t = len(symbol.alpha), len(symbol.beta)
-    alpha = tuple(g + 1 for g in symbol.alpha) + (1,) * (t - s)
-    beta = tuple(d - 1 for d in symbol.beta if d > 1)
+    alpha = [g + 1 for g in symbol.alpha] + [1] * (t - s)
+    beta = [d - 1 for d in symbol.beta if d > 1]
     return MDurfeeSymbol(m=symbol.m, j=symbol.j, alpha=alpha, beta=beta)
 
 
@@ -135,11 +141,11 @@ def theta3(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     (zero top entries removed).  The image is marked by its bottom row
     ending in two 1s, which `pi` requires.
     """
-    _require(symbol, SymbolClass.P3, "theta3")
+    _require(symbol, _P3, "theta3")
     s, t = len(symbol.alpha), len(symbol.beta)
     m, j = symbol.m, symbol.j
-    gamma = (m + j - 1,) + tuple(a - 1 for a in symbol.alpha if a > 1)
-    delta = (j - 1,) + tuple(b + 1 for b in symbol.beta) + (1,) * (s - t + 1)
+    gamma = [m + j - 1] + [a - 1 for a in symbol.alpha if a > 1]
+    delta = [j - 1] + [b + 1 for b in symbol.beta] + [1] * (s - t + 1)
     return MDurfeeSymbol(m=m, j=j - 1, alpha=gamma, beta=delta)
 
 
@@ -153,32 +159,35 @@ def pi(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     (zero bottom entries removed).
     """
-    _require(symbol, SymbolClass.Q3, "pi")
+    _require(symbol, _Q3, "pi")
     s, t = len(symbol.alpha), len(symbol.beta)
     if t - s < 1:
         raise ValueError(f"pi needs len(delta) - len(gamma) >= 1: {format_symbol(symbol)}")
     if t < 2 or symbol.beta[-1] != 1 or symbol.beta[-2] != 1:
         raise ValueError(f"pi needs delta to end in two 1s: {format_symbol(symbol)}")
-    alpha = tuple(g + 1 for g in symbol.alpha[1:]) + (1,) * (t - s - 1)
-    beta = tuple(d - 1 for d in symbol.beta[1:] if d > 1)
+    alpha = [g + 1 for g in symbol.alpha[1:]] + [1] * (t - s - 1)
+    beta = [d - 1 for d in symbol.beta[1:] if d > 1]
     return MDurfeeSymbol(m=symbol.m, j=symbol.j + 1, alpha=alpha, beta=beta)
 
 
 def theta(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     """The combined injection P(-m+1, n) -> Q(m, n): dispatch by class."""
-    cls = classify(symbol, "P")
-    if cls is SymbolClass.P1:
+    return _theta_by_class(symbol, classify(symbol, "P"))
+
+
+def _theta_by_class(symbol: MDurfeeSymbol, cls: SymbolClass | None) -> MDurfeeSymbol:
+    # theta on a symbol whose P class `cls` is already known
+    if cls is _P1:
         return symbol
-    if cls is SymbolClass.P2:
+    if cls is _P2:
         return theta2(symbol)
-    if cls is SymbolClass.P3:
+    if cls is _P3:
         return theta3(symbol)
     raise ValueError(f"theta needs rank >= -m + 1: {format_symbol(symbol)}")
 
 
 # the Q class each P class lands in under theta
-_MATCHING_Q = {SymbolClass.P1: SymbolClass.Q1, SymbolClass.P2: SymbolClass.Q2,
-               SymbolClass.P3: SymbolClass.Q3}
+_MATCHING_Q = {_P1: _Q1, _P2: _Q2, _P3: _Q3}
 
 
 def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
@@ -191,6 +200,11 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     and theta3 land in Q2 and Q3 with weight preserved and round-trip
     through sigma and pi, theta is globally injective, and the count
     gap #Q - #P matches q(m, n) - p_ge(-m+1, n) from the given table.
+
+    Each symbol is classified once per side, and theta is applied from
+    its P class.  A P1 image is the symbol itself, so its Q class is the
+    symbol's own; each P2/P3 image, built by the precondition-checking
+    theta2/theta3, is classified once on the Q side.
     """
     if mmax < 0 or nmax < 2:
         raise ValueError("need mmax >= 0 and nmax >= 2")
@@ -201,7 +215,8 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
         # each symbol slices alpha from its partition's one conjugate
         columns = [conjugate(lam) for lam in partitions]
         for m in range(0, mmax + 1):
-            p_members: list[tuple[MDurfeeSymbol, SymbolClass]] = []
+            # (symbol, P class, Q class) of each P member
+            p_members: list[tuple[MDurfeeSymbol, SymbolClass, SymbolClass | None]] = []
             q_members: list[MDurfeeSymbol] = []
             for lam, lam_rank, lam_columns in zip(partitions, ranks, columns):
                 sym = _symbol(lam, lam_columns, m)
@@ -218,29 +233,31 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
                 rec.expect("p-classification-covers", (p_cls is not None) == in_p, witness)
                 rec.expect("q-classification-covers", (q_cls is not None) == in_q, witness)
                 if in_p:
-                    p_members.append((sym, p_cls))
+                    p_members.append((sym, p_cls, q_cls))
                 if in_q:
                     q_members.append(sym)
                 rec.expect(
                     "p1-equals-q1",
-                    (p_cls is SymbolClass.P1) == (q_cls is SymbolClass.Q1),
+                    (p_cls is _P1) == (q_cls is _Q1),
                     witness,
                 )
             images = []
-            for sym, cls in p_members:
-                image = theta(sym)
+            for sym, cls, sym_q_cls in p_members:
+                image = _theta_by_class(sym, cls)
+                # a P1 image is the symbol itself, whose Q class is known
+                image_cls = sym_q_cls if cls is _P1 else classify(image, "Q")
                 images.append(image)
                 witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
                 rec.expect("theta-preserves-weight", image.weight == sym.weight == n, witness)
                 rec.expect(
                     "theta-lands-in-matching-class",
-                    classify(image, "Q") is _MATCHING_Q[cls],
+                    image_cls is _MATCHING_Q[cls],
                     lambda: {"m": m, "n": n, "symbol": format_symbol(sym),
                              "image": format_symbol(image)},
                 )
-                if cls is SymbolClass.P2:
+                if cls is _P2:
                     rec.expect("sigma-inverts-theta2", sigma(image) == sym, witness)
-                elif cls is SymbolClass.P3:
+                elif cls is _P3:
                     rec.expect(
                         "theta3-image-marker",
                         len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1,

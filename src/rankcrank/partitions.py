@@ -21,11 +21,12 @@ def _weakly_decreasing_positive(parts: Iterable[int], label: str) -> tuple[int, 
     """`parts` as a plain tuple, checked to be weakly decreasing positive
     integers; an error names the checked sequence by `label`."""
     t = tuple(parts)
-    prev = None
+    prev = t[0] if t else 0
     for v in t:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        # an exact int passes the type test at once; bool is an int subclass
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < 1:
             raise ValueError(f"{label} must be positive integers, got {v!r}")
-        if prev is not None and v > prev:
+        if v > prev:
             raise ValueError(f"{label} must be weakly decreasing, got {t}")
         prev = v
     return t
@@ -84,8 +85,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
     The first partition is (n,), the last is (1,)*n, and each successor
     is computed in place: decrement the last part bigger than 1, then
-    redistribute the freed weight greedily.  Nothing is materialized,
-    so weights with millions of partitions stream fine.
+    redistribute the freed weight greedily.  When that part is a 2, the
+    successor only splits it into 1, 1, an O(1) step (as in Zoghbi and
+    Stojmenovic's ZS1).  Nothing is materialized, so weights with
+    millions of partitions stream fine.
 
     >>> [tuple(p) for p in enumerate_partitions(4)]
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
@@ -103,16 +106,18 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         if h < 0:
             return
         v = x[h] - 1
+        if v == 1:  # a trailing 2 splits into 1, 1 in place
+            x[h] = 1
+            x.append(1)
+            h -= 1
+            continue
         budget = x[h] + (len(x) - 1 - h)  # freed weight: this part plus trailing ones
         del x[h:]
         q, rem = divmod(budget, v)
         x.extend([v] * q)
         if rem:
             x.append(rem)
-        if v == 1:
-            h -= 1
-        else:
-            h = h + q - 1 + (1 if rem >= 2 else 0)
+        h = h + q - 1 + (1 if rem >= 2 else 0)
 
 
 _PCOUNT = [1]  # p(0..k), grown on demand

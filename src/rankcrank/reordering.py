@@ -64,7 +64,7 @@ _Listing = tuple[list[Partition], list[int], list[int]]
 def _listing(n: int) -> _Listing:
     """The partitions of n in enumeration order, with their cranks and ranks."""
     partitions = list(enumerate_partitions(n))
-    return partitions, [crank(p) for p in partitions], [rank(p) for p in partitions]
+    return partitions, list(map(crank, partitions)), list(map(rank, partitions))
 
 
 def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
@@ -231,6 +231,8 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
                          "via_moments": ospt_moments},
             )
+            # free this tie-break's map before the next one is built
+            del rmap, by_crank, by_rank
         rec.expect(
             "ospt-tau-tie-break-independent",
             len(ospt_values) == 1,

@@ -41,7 +41,8 @@ class MDurfeeSymbol:
 
     Invariants enforced on construction: m >= 0, j >= 0, alpha weakly
     decreasing positive with entries <= m + j, beta weakly decreasing
-    positive with entries <= j (so j = 0 forces beta empty).
+    positive with entries <= j (so j = 0 forces beta empty).  alpha and
+    beta may be given as any iterables of ints; they are stored as tuples.
     """
 
     m: int
@@ -62,16 +63,6 @@ class MDurfeeSymbol:
             )
         if self.beta and self.beta[0] > self.j:
             raise ValueError(f"beta entries must be <= j = {self.j}, got {self.beta}")
-
-    @classmethod
-    def _trusted(cls, m: int, j: int, alpha: tuple[int, ...],
-                 beta: tuple[int, ...]) -> "MDurfeeSymbol":
-        # Fast path for `to_symbol`, whose plain tuples already meet every
-        # invariant: fill the fields without re-validating them.
-        symbol = object.__new__(cls)
-        fields = symbol.__dict__
-        fields["m"], fields["j"], fields["alpha"], fields["beta"] = m, j, alpha, beta
-        return symbol
 
     @property
     def rows(self) -> int:
@@ -120,8 +111,13 @@ def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurf
         j = 1
         while m + j + 1 <= length and partition[m + j] >= j + 1:
             j += 1
-    # slices of tuples are plain tuples
-    return MDurfeeSymbol._trusted(m, j, columns[j:], tuple(partition[m + j:]))
+    # The plain tuples below meet every invariant, so the fields are filled
+    # without re-validating them (slices of tuples are plain tuples).
+    symbol = object.__new__(MDurfeeSymbol)
+    fields = symbol.__dict__
+    fields["m"], fields["j"] = m, j
+    fields["alpha"], fields["beta"] = columns[j:], tuple(partition[m + j:])
+    return symbol
 
 
 def from_symbol(symbol: MDurfeeSymbol) -> Partition:

@@ -10,6 +10,7 @@ import rankcrank
 from rankcrank import injections, partitions, qseries, reordering, tables
 from rankcrank.cli import main
 from rankcrank.report import VerifyReport
+from rankcrank.symbols import to_symbol
 
 
 def run(capsys, *argv):
@@ -235,6 +236,28 @@ def test_inject_empty_class(capsys):
     code, _, err = run(capsys, "inject", "--m", "3", "--n", "2", "--case", "P3")
     assert code == 1
     assert "empty" in err
+
+
+def test_inject_empty_class_lists_no_partitions(capsys, monkeypatch):
+    # P2 starts at weight m + 2, so at m = 79 weight 80 has no member; the
+    # answer must come without listing the p(80) = 15.8M partitions
+    def refuse(n):
+        raise AssertionError(f"listed the partitions of {n}")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    code, out, err = run(capsys, "inject", "--m", "79", "--n", "80", "--case", "P2")
+    assert (code, out, err) == (1, "", "P2(-m+1 = -78, n = 80) is empty\n")
+
+
+@pytest.mark.parametrize("case", ["P2", "P3"])
+def test_inject_reports_empty_exactly_when_no_member(capsys, case):
+    wanted = injections.SymbolClass[case]
+    for m in range(0, 4):
+        for n in range(1, 15):
+            has_member = any(injections.classify(to_symbol(lam, m), "P") is wanted
+                             for lam in partitions.enumerate_partitions(n))
+            code, out, _ = run(capsys, "inject", "--m", str(m), "--n", str(n), "--case", case)
+            assert (code, bool(out)) == ((0, True) if has_member else (1, False)), (m, n)
 
 
 def test_ospt_comparison(capsys):

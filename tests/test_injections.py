@@ -189,3 +189,27 @@ def test_verify_injections_failure_witness(monkeypatch, table30):
     assert symbol.weight == witness["n"] and symbol.m == witness["m"]
     assert classify(symbol, "P") is SymbolClass.P2
     assert witness == {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}
+
+
+def test_verify_injections_classifies_once_per_side(monkeypatch, table30):
+    # the suite classifies each symbol once per side; past that, only a
+    # P2/P3 member pays: the checking theta2/theta3, its image's Q class,
+    # and the checking sigma/pi
+    symbols = mapped = 0
+    for n in range(2, 15):
+        for p in enumerate_partitions(n):
+            for m in range(0, 4):
+                symbols += 1
+                mapped += classify(to_symbol(p, m), "P") in (SymbolClass.P2, SymbolClass.P3)
+    assert mapped > 0
+    calls = 0
+    real = injections.classify
+
+    def counted(symbol, side):
+        nonlocal calls
+        calls += 1
+        return real(symbol, side)
+
+    monkeypatch.setattr(injections, "classify", counted)
+    assert verify_injections(3, 14, table=table30).ok
+    assert calls <= 2 * symbols + 3 * mapped

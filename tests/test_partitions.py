@@ -111,3 +111,22 @@ def test_conjugate_transposes_counts():
             q = conjugate(p)
             for k in range(len(q)):
                 assert q[k] == sum(1 for v in p if v >= k + 1)
+
+
+def _lex_descending(n, largest):
+    # every partition of n with parts <= largest, largest first part first
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _lex_descending(n - first, first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_recursive_generator():
+    for n in range(0, 31):
+        got = list(enumerate_partitions(n))  # compared only once the generator is done
+        assert got == list(_lex_descending(n, n))
+        for p in got:
+            assert type(p) is Partition and Partition(p) == p
+        assert len({id(p) for p in got}) == len(got)
