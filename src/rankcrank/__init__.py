@@ -11,7 +11,7 @@ from .partitions import Partition, conjugate, enumerate_partitions, partition_co
 from .qseries import TruncatedSeries, euler_inverse, euler_product, ospt_numerator, ospt_series, verify_genfun
 from .reordering import ReorderingMap, build_tau, ospt_via_tau, verify_reordering
 from .report import CheckRecorder, CheckResult, VerifyReport
-from .statistics import crank, ones_count, rank, rank_set_contains, smallest_part_count
+from .statistics import crank, rank, rank_set_contains, smallest_part_count
 from .symbols import MDurfeeSymbol, format_symbol, from_symbol, parse_symbol, rank_at_least, rank_set_has_m, to_symbol
 from .tables import StatTable, build, build_accelerated, verify_bounds, verify_identities
 
@@ -38,7 +38,6 @@ __all__ = [
     "euler_product",
     "format_symbol",
     "from_symbol",
-    "ones_count",
     "ospt_numerator",
     "ospt_series",
     "ospt_via_tau",

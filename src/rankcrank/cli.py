@@ -15,10 +15,12 @@ the chosen methods: moments 60, tau 60, genfun 100.  `verify --suite
 all` clamps each table suite to its backend's cap, the tau suite to 40
 and the injection suite to 30, after checking every component's lower
 bound.  Anything outside these ranges exits 2 before any work starts.
-A `verify` run builds at most two tables before its first suite: one
-enumeration table, at the largest nmax any component needs from it,
-and, on the arithmetic backend, one accelerated table for the table
-suites.
+A `verify` run builds at most two tables before its first suite.  The
+table suites read the chosen backend's table.  The map suites
+(injections, tau) compare the partitions they list with the arithmetic
+table, so they never build an enumeration table: they share one
+accelerated table, which on the arithmetic backend is also the table
+suites' own.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .report import VerifyReport
 from .symbols import format_symbol, parse_symbol, to_symbol
 
 SUITES = ("identities", "injections", "tau", "bounds", "genfun", "all")
-# The map suites list partitions and read the enumeration table on either
-# backend; the other three read the chosen backend's table and share one
-# range row.
+# The map suites list partitions and check them against the arithmetic
+# (series) table on either backend; the other three read the chosen
+# backend's table and share one range row.
 MAP_SUITES = ("injections", "tau")
 TABLE_SUITES = "verify identities/bounds/genfun"
 
@@ -195,25 +197,27 @@ def cmd_verify(args) -> int:
     plan = {suite: _nmax((f"verify {suite}", None) if suite in MAP_SUITES
                          else (TABLE_SUITES, variant), args.nmax, args.suite == "all")
             for suite in (SUITES[:-1] if args.suite == "all" else (args.suite,))}
-    # At most two tables.  One enumeration table, at the largest nmax any
-    # component reads from it, serves the map suites (their rows n <= nmax
-    # do not depend on the table's own nmax) and, on the enumeration
-    # backend, the table suites, whose shared nmax is then that largest.
-    enumerated_nmax = max((nmax for suite, nmax in plan.items()
-                           if suite in MAP_SUITES or backend == "enumerated"), default=None)
+    # At most two tables.  The table suites share the chosen backend's table
+    # at their one nmax.  The map suites share one series table at the
+    # larger of their nmax (their rows n <= nmax do not depend on the
+    # table's own nmax).  On the arithmetic backend that is the table
+    # suites' own table: under --suite all their nmax is never the smaller.
     table_nmax = next((nmax for suite, nmax in plan.items() if suite not in MAP_SUITES), None)
+    series_nmax = max((nmax for suite, nmax in plan.items() if suite in MAP_SUITES),
+                      default=None)
     started = time.monotonic()
-    enumerated = table = None
-    if enumerated_nmax is not None:
-        enumerated = table = _table(enumerated_nmax, "enumerated")
-    if backend == "accelerated" and table_nmax is not None:
-        table = _table(table_nmax, "accelerated")
+    table = series = None
+    if table_nmax is not None:
+        table = _table(table_nmax, backend)
+    if series_nmax is not None:
+        series = (table if backend == "accelerated" and table is not None
+                  else _table(series_nmax, "accelerated"))
     run = {
         "identities": lambda nmax: tables.verify_identities(table),
         "bounds": lambda nmax: tables.verify_bounds(table),
         "injections": lambda nmax: injections.verify_injections(
-            mmax=6, nmax=nmax, table=enumerated),
-        "tau": lambda nmax: reordering.verify_reordering(nmax, table=enumerated),
+            mmax=6, nmax=nmax, table=series),
+        "tau": lambda nmax: reordering.verify_reordering(nmax, table=series),
         "genfun": lambda nmax: qseries.verify_genfun(
             nmax, table, tau_limit=min(nmax, RANGES[("verify tau", None)].default)),
     }

@@ -47,11 +47,17 @@ class SymbolClass(enum.Enum):
     Q2 = ("Q", 2)
     Q3 = ("Q", 3)
 
+    # Members are singletons, so identity hashing is exact, and it runs at C
+    # level where Enum's own hashes the member's name in Python.
+    __hash__ = object.__hash__
+
 
 # The members as module globals, for the per-symbol paths: on CPython 3.11
 # an attribute read on an Enum class goes through `EnumType.__getattr__`'s
 # slow lookup, about ten times the cost of a global read.
 _P1, _P2, _P3, _Q1, _Q2, _Q3 = SymbolClass
+# each class's side, read without Enum's Python-level `name` property
+_SIDE = {cls: cls.name[0] for cls in SymbolClass}
 
 
 def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
@@ -85,7 +91,7 @@ def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
 
 
 def _require(symbol: MDurfeeSymbol, wanted: SymbolClass, op: str) -> None:
-    got = classify(symbol, wanted.name[0])
+    got = classify(symbol, _SIDE[wanted])
     if got is not wanted:
         raise ValueError(
             f"{op} needs a {wanted.name} symbol, got {got.name if got else 'non-member'}:"
@@ -201,10 +207,14 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     through sigma and pi, theta is globally injective, and the count
     gap #Q - #P matches q(m, n) - p_ge(-m+1, n) from the given table.
 
-    Each symbol is classified once per side, and theta is applied from
-    its P class.  A P1 image is the symbol itself, so its Q class is the
-    symbol's own; each P2/P3 image, built by the precondition-checking
-    theta2/theta3, is classified once on the Q side.
+    Each (n, m) is one scope.  Its symbols are scanned for each check's
+    first failure, and each check is then recorded once per scope; the
+    round-trip and marker checks only in scopes holding a P2 or P3
+    member.  Each symbol is classified once per side, and theta is
+    applied from its P class.  A P1 image is the symbol itself, so its
+    Q class is the symbol's own; each P2/P3 image, built by the
+    precondition-checking theta2/theta3, is classified once on the Q
+    side.
     """
     if mmax < 0 or nmax < 2:
         raise ValueError("need mmax >= 0 and nmax >= 2")
@@ -215,55 +225,70 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
         # each symbol slices alpha from its partition's one conjugate
         columns = [conjugate(lam) for lam in partitions]
         for m in range(0, mmax + 1):
+            p_floor = 1 - m
+            # check id -> the symbols its first failure in this scope names
+            first_bad: dict[str, dict[str, MDurfeeSymbol]] = {}
             # (symbol, P class, Q class) of each P member
             p_members: list[tuple[MDurfeeSymbol, SymbolClass, SymbolClass | None]] = []
             q_members: list[MDurfeeSymbol] = []
             for lam, lam_rank, lam_columns in zip(partitions, ranks, columns):
                 sym = _symbol(lam, lam_columns, m)
-                in_p = lam_rank >= -m + 1
+                in_p = lam_rank >= p_floor
                 in_q = rank_set_contains(lam, m)
-                witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
-                rec.expect(
-                    "predicates-match-statistics",
-                    rank_at_least(sym) == in_p and rank_set_has_m(sym) == in_q,
-                    witness,
-                )
+                if rank_at_least(sym) != in_p or rank_set_has_m(sym) != in_q:
+                    first_bad.setdefault("predicates-match-statistics", {"symbol": sym})
                 p_cls = classify(sym, "P")
                 q_cls = classify(sym, "Q")
-                rec.expect("p-classification-covers", (p_cls is not None) == in_p, witness)
-                rec.expect("q-classification-covers", (q_cls is not None) == in_q, witness)
+                if (p_cls is not None) != in_p:
+                    first_bad.setdefault("p-classification-covers", {"symbol": sym})
+                if (q_cls is not None) != in_q:
+                    first_bad.setdefault("q-classification-covers", {"symbol": sym})
                 if in_p:
                     p_members.append((sym, p_cls, q_cls))
                 if in_q:
                     q_members.append(sym)
-                rec.expect(
-                    "p1-equals-q1",
-                    (p_cls is _P1) == (q_cls is _Q1),
-                    witness,
-                )
+                if (p_cls is _P1) != (q_cls is _Q1):
+                    first_bad.setdefault("p1-equals-q1", {"symbol": sym})
             images = []
+            has_p2 = has_p3 = False
             for sym, cls, sym_q_cls in p_members:
-                image = _theta_by_class(sym, cls)
-                # a P1 image is the symbol itself, whose Q class is known
-                image_cls = sym_q_cls if cls is _P1 else classify(image, "Q")
+                if cls is _P1:
+                    # a P1 image is the symbol itself, whose Q class is known
+                    image, image_cls = sym, sym_q_cls
+                    weight_kept = sym.weight == n
+                else:
+                    image = _theta_by_class(sym, cls)
+                    image_cls = classify(image, "Q")
+                    weight_kept = image.weight == sym.weight == n
                 images.append(image)
-                witness = lambda: {"m": m, "n": n, "symbol": format_symbol(sym)}
-                rec.expect("theta-preserves-weight", image.weight == sym.weight == n, witness)
-                rec.expect(
-                    "theta-lands-in-matching-class",
-                    image_cls is _MATCHING_Q[cls],
-                    lambda: {"m": m, "n": n, "symbol": format_symbol(sym),
-                             "image": format_symbol(image)},
-                )
+                if not weight_kept:
+                    first_bad.setdefault("theta-preserves-weight", {"symbol": sym})
+                if image_cls is not _MATCHING_Q[cls]:
+                    first_bad.setdefault("theta-lands-in-matching-class",
+                                         {"symbol": sym, "image": image})
                 if cls is _P2:
-                    rec.expect("sigma-inverts-theta2", sigma(image) == sym, witness)
+                    has_p2 = True
+                    if sigma(image) != sym:
+                        first_bad.setdefault("sigma-inverts-theta2", {"symbol": sym})
                 elif cls is _P3:
-                    rec.expect(
-                        "theta3-image-marker",
-                        len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1,
-                        lambda: {"m": m, "n": n, "image": format_symbol(image)},
-                    )
-                    rec.expect("pi-inverts-theta3", pi(image) == sym, witness)
+                    has_p3 = True
+                    if not (len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1):
+                        first_bad.setdefault("theta3-image-marker", {"image": image})
+                    if pi(image) != sym:
+                        first_bad.setdefault("pi-inverts-theta3", {"symbol": sym})
+            # each check is recorded in the scopes holding an instance of it
+            checks = ["predicates-match-statistics", "p-classification-covers",
+                      "q-classification-covers", "p1-equals-q1"]
+            if p_members:
+                checks += ("theta-preserves-weight", "theta-lands-in-matching-class")
+            if has_p2:
+                checks.append("sigma-inverts-theta2")
+            if has_p3:
+                checks += ("theta3-image-marker", "pi-inverts-theta3")
+            for check in checks:
+                bad = first_bad.get(check)
+                rec.expect(check, bad is None, None if bad is None else {
+                    "m": m, "n": n, **{key: format_symbol(s) for key, s in bad.items()}})
             image_set = set(images)
             rec.expect(
                 "theta-injective",

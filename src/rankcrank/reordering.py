@@ -71,7 +71,9 @@ def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
     """tau from a weight's listing: stable sorts of its positions by crank
     and by rank, each statistic computed once per partition."""
     partitions, cranks, ranks = listing
-    order = range(len(partitions))
+    # both sorts reorder the one list of positions, so the two position
+    # lists share its int objects
+    order = list(range(len(partitions)))
     if tie_break == "lex-ascending":
         order = order[::-1]
     by_crank = sorted(order, key=cranks.__getitem__)
@@ -160,9 +162,11 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).  Each weight is
     listed once, with its cranks and ranks, for both tie-breaks.  Both
-    tie-breaks sort the same statistic values into the same ascending
-    lists, so the statistics scan runs once per weight.  The cumulative
-    counts and moments come from `table`, which must cover n <= nmax.
+    tie-breaks should sort the same statistic values into the same
+    ascending lists, so the statistics scan is reused for the second
+    tie-break when its crank and rank lists equal the first's, and runs
+    again when they differ.  The cumulative counts and moments come from
+    `table`, which must cover n <= nmax.
     """
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
@@ -181,7 +185,7 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
         ospt_moments = table.ospt_moments(n)
         ospt_values = set()
-        scan = None
+        scanned = scan = None
         for tie_break in TIE_BREAKS:
             rmap = _tau(n, tie_break, listing)
             by_crank, by_rank = rmap.by_crank, rmap.by_rank
@@ -197,7 +201,10 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 fixed_point_check(rmap),
                 lambda: {"n": n, "tie_break": tie_break},
             )
-            if scan is None:
+            # the scan reads only the two statistic lists, so a map whose
+            # lists equal the last scanned map's shares its verdicts
+            if scanned != (rmap.cranks, rmap.ranks):
+                scanned = rmap.cranks, rmap.ranks
                 scan = _scan(rmap, cum_crank, cum_rank)
             bad_case, bad_bracket, bad_chain, positive_rank_sum, via_tau = scan
 
@@ -231,11 +238,14 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
                          "via_moments": ospt_moments},
             )
-            # free this tie-break's map before the next one is built
+            # free this tie-break's map, all but the scanned lists, before
+            # the next one is built
             del rmap, by_crank, by_rank
         rec.expect(
             "ospt-tau-tie-break-independent",
             len(ospt_values) == 1,
             lambda: {"n": n, "values": sorted(ospt_values)},
         )
+        # free this weight's listing and lists before the next weight is listed
+        del listing, partitions, positions, scanned
     return rec.report("tau", {"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)})

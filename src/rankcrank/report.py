@@ -4,13 +4,15 @@ Each suite (identities, injections, tau, bounds, genfun) runs a batch
 of named checks over a range and reports one `CheckResult` per check:
 status "pass" or "fail", and for failures a witness dict pinning down
 the first counterexample.  A suite makes one `CheckRecorder.expect`
-call per check and scope (a weight, a weight and tie-break, or a
-symbol).  Where a scope holds many instances, such as the m of one
-weight, the suite scans them for the first failure before that call,
-and a passing scan builds no witness closure.  The recorder also
-times the suite and assembles its report.  Reports serialize to JSON
-and parse back bit-identically, which the command-line layer relies
-on.
+call per check and scope: a weight in the identities and bounds
+suites, the whole range of n in the genfun suite, a weight and
+tie-break in the tau suite, and a weight and m in the injection suite.
+Where a scope holds many instances, such as the m of one weight, the
+n of the genfun range or the symbols of one (n, m), the suite scans
+them for the first failure before that call, and a passing scan builds
+no witness closure.  The recorder also times the suite and assembles
+its report.  Reports serialize to JSON and parse back bit-identically,
+which the command-line layer relies on.
 """
 
 from __future__ import annotations

@@ -39,14 +39,6 @@ def rank(partition: Sequence[int]) -> int:
     return partition[0] - len(partition)
 
 
-def ones_count(partition: Sequence[int]) -> int:
-    """Number of parts equal to 1 (a suffix, since parts decrease)."""
-    i = len(partition)
-    while i > 0 and partition[i - 1] == 1:
-        i -= 1
-    return len(partition) - i
-
-
 def crank(partition: Sequence[int]) -> int:
     """The crank statistic.
 

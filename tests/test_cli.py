@@ -119,8 +119,13 @@ def test_verify_all_merges_and_clamps(capsys):
     assert rep.info and "bounds" in rep.info
 
 
-@pytest.mark.parametrize("flags, enumerated_nmax", [((), 60), (("--backend", "accelerated"), 40)])
-def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enumerated_nmax):
+@pytest.mark.parametrize("flags, enumerated, accelerated, table_nmax", [
+    ((), [60], [40], 60),
+    (("--backend", "accelerated"), [], [60], 60),
+    (("--extended",), [], [100], 100),
+], ids=["enumerated", "accelerated", "extended"])
+def test_verify_all_table_plan(capsys, monkeypatch, flags, enumerated, accelerated,
+                               table_nmax):
     # stand-in tables and suites record who read which table at which nmax
     builds = []
     accelerated_builds = []
@@ -128,11 +133,11 @@ def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enu
 
     def build(nmax):
         builds.append(nmax)
-        return SimpleNamespace(nmax=nmax)
+        return SimpleNamespace(nmax=nmax, provenance="enumerated")
 
     def build_accelerated(nmax):
         accelerated_builds.append(nmax)
-        return SimpleNamespace(nmax=nmax)
+        return SimpleNamespace(nmax=nmax, provenance="accelerated")
 
     def record(name, nmax, table):
         received[name] = (nmax, table)
@@ -152,19 +157,30 @@ def test_verify_all_builds_one_enumeration_table(capsys, monkeypatch, flags, enu
                         lambda nmax, table: record("tau", nmax, table))
     code, out, _ = run(capsys, "verify", "--suite", "all", *flags)
     assert code == 0
-    assert builds == [enumerated_nmax]
-    assert accelerated_builds == ([60] if flags else [])
+    assert (builds, accelerated_builds) == (enumerated, accelerated)
     nmaxes = {name: nmax for name, (nmax, _) in received.items()}
-    assert nmaxes == {"identities": 60, "bounds": 60, "genfun": 60,
+    assert nmaxes == {"identities": table_nmax, "bounds": table_nmax, "genfun": table_nmax,
                       "injections": 30, "tau": 40}
-    shared = received["injections"][1]
-    assert received["tau"][1] is shared and shared.nmax == enumerated_nmax
-    for name in ("identities", "bounds", "genfun"):
-        table = received[name][1]
-        assert table.nmax == 60
-        assert (table is shared) == (not flags)
+    # the map suites share one series table; the table suites share theirs
+    series = received["injections"][1]
+    assert received["tau"][1] is series and series.provenance == "accelerated"
+    table = received["identities"][1]
+    assert received["bounds"][1] is table and received["genfun"][1] is table
+    assert table.nmax == table_nmax and (table is series) == (not enumerated)
     components = VerifyReport.from_json(out).range["components"]
     assert components["injections"] == {"nmax": 30} and components["tau"] == {"nmax": 40}
+
+
+@pytest.mark.parametrize("suite", ["injections", "tau"])
+def test_map_suites_build_no_enumeration_table(capsys, monkeypatch, suite):
+    def no_enumeration_table(nmax):
+        raise AssertionError(f"verify --suite {suite} built an enumeration table")
+
+    monkeypatch.setattr(tables, "build", no_enumeration_table)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--nmax", "8")
+    assert code == 0
+    rep = VerifyReport.from_json(out)
+    assert rep.ok and rep.suite == suite and rep.range["nmax"] == 8
 
 
 def test_tau_csv_weight_4(capsys):

@@ -1,0 +1,194 @@
+"""Mutants of the injection and tau suites: every check must be able to fail.
+
+Each row patches a map, a statistic or a table read with a stateless
+stand-in, runs one suite at a small size, and pins the exact failing
+check ids with their first witnesses.  A change to either suite's loop
+must keep every row passing unchanged, and a row is added for any check
+that no row makes fail yet.
+"""
+
+from typing import Callable, NamedTuple
+
+import pytest
+
+from rankcrank import injections, reordering
+from rankcrank.injections import SymbolClass, verify_injections
+from rankcrank.reordering import verify_reordering
+from rankcrank.symbols import MDurfeeSymbol, to_symbol
+
+real_theta2 = injections.theta2
+real_classify = injections.classify
+real_inj_rank = injections.rank
+real_enumerate = reordering.enumerate_partitions
+real_rank = reordering.rank
+real_crank = reordering.crank
+
+
+def identity(symbol):
+    return symbol
+
+
+def theta2_extra_one(symbol):
+    # theta2's image with one more trailing 1 in delta: one too heavy
+    image = real_theta2(symbol)
+    return MDurfeeSymbol(image.m, image.j, image.alpha, image.beta + (1,))
+
+
+def theta2_to_one_row(symbol):
+    # every P2 member onto the symbol of (n), so two members of a scope collide
+    return to_symbol((symbol.weight,), symbol.m)
+
+
+def classify_j0_as_q2(symbol, side):
+    # a rectangle-free Q1 symbol read as Q2; no map's own input has j = 0
+    cls = real_classify(symbol, side)
+    return SymbolClass.Q2 if cls is SymbolClass.Q1 and symbol.j == 0 else cls
+
+
+def listing_without_third_at_5(n):
+    listing = list(real_enumerate(n))
+    if n == 5:
+        del listing[2]
+    return iter(listing)
+
+
+class Shifted:
+    """A table whose `method` reads one higher at the given arguments."""
+
+    def __init__(self, table, method, at):
+        self._table, self._method, self._at = table, method, at
+
+    def __getattr__(self, name):
+        read = getattr(self._table, name)
+        if name != self._method:
+            return read
+        return lambda *args: read(*args) + (args == self._at)
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: object
+    patches: dict
+    failures: dict  # check id -> first witness
+    table: Callable = lambda table: table
+
+
+INJECTION_MUTANTS = [
+    Mutant("sigma returns its input", injections, {"sigma": identity},
+           {"sigma-inverts-theta2": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}}),
+    Mutant("pi returns its input", injections, {"pi": identity},
+           {"pi-inverts-theta3": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)"}}),
+    Mutant("theta2 and sigma return their input", injections,
+           {"theta2": identity, "sigma": identity},
+           {"theta-image-in-q": {"m": 0, "n": 2},
+            "theta-lands-in-matching-class": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)",
+                                              "image": "[1 | ]_(1x1)"}}),
+    Mutant("theta3 and pi return their input", injections,
+           {"theta3": identity, "pi": identity},
+           {"theta-image-in-q": {"m": 0, "n": 5},
+            "theta-lands-in-matching-class": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)",
+                                              "image": "[1 | ]_(2x2)"},
+            "theta3-image-marker": {"m": 0, "n": 5, "image": "[1 | ]_(2x2)"}}),
+    Mutant("theta2 adds a trailing 1", injections, {"theta2": theta2_extra_one},
+           {"sigma-inverts-theta2": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"},
+            "theta-image-in-q": {"m": 0, "n": 2},
+            "theta-preserves-weight": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}}),
+    Mutant("theta2 maps onto the one-row symbol", injections,
+           {"theta2": theta2_to_one_row, "sigma": identity},
+           {"sigma-inverts-theta2": {"m": 1, "n": 3, "symbol": "[1 | ]_(2x1)"},
+            "theta-image-in-q": {"m": 0, "n": 2},
+            "theta-injective": {"m": 1, "n": 3},
+            "theta-lands-in-matching-class": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)",
+                                              "image": "[1 | ]_(1x1)"}}),
+    Mutant("Q1 without a rectangle read as Q2", injections, {"classify": classify_j0_as_q2},
+           {"p1-equals-q1": {"m": 1, "n": 2, "symbol": "[1,1 | ]_(1x0)"},
+            "theta-lands-in-matching-class": {"m": 1, "n": 2, "symbol": "[1,1 | ]_(1x0)",
+                                              "image": "[1,1 | ]_(1x0)"}}),
+    Mutant("every rank one lower", injections, {"rank": lambda lam: real_inj_rank(lam) - 1},
+           {"count-gap-matches-tables": {"m": 0, "n": 2, "gap": 1, "q": 1, "p_ge": 1},
+            "p-classification-covers": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"},
+            "predicates-match-statistics": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}}),
+    Mutant("no rank-set holds m", injections, {"rank_set_contains": lambda lam, m: False},
+           {"count-gap-matches-tables": {"m": 0, "n": 2, "gap": -1, "q": 1, "p_ge": 1},
+            "count-gap-non-negative": {"m": 0, "n": 2, "gap": -1},
+            "predicates-match-statistics": {"m": 0, "n": 2, "symbol": "[ | 1]_(1x1)"},
+            "q-classification-covers": {"m": 0, "n": 2, "symbol": "[ | 1]_(1x1)"},
+            "theta-image-in-q": {"m": 0, "n": 2}}),
+    Mutant("table q(1, 7) one high", injections, {},
+           {"count-gap-matches-tables": {"m": 1, "n": 7, "gap": 1, "q": 11, "p_ge": 9}},
+           lambda table: Shifted(table, "q_count", (1, 7))),
+]
+
+TAU_MUTANTS = [
+    Mutant("listing drops a partition of 5", reordering,
+           {"enumerate_partitions": listing_without_third_at_5},
+           {"ospt-tau-matches-moments": {"n": 5, "tie_break": "lex-descending",
+                                         "via_tau": 1, "via_moments": 2},
+            "tau-case-condition": {"n": 5, "tie_break": "lex-descending",
+                                   "partition": [2, 2, 1], "image": [4, 1], "crank": 1,
+                                   "rank_of_image": 2},
+            "tau-is-bijection": {"n": 5, "tie_break": "lex-descending", "listed": 6,
+                                 "distinct": 6, "p": 7},
+            "tau-position-in-cumulative-window": {"n": 5, "tie_break": "lex-descending",
+                                                  "position": 5, "partition": [2, 2, 1],
+                                                  "image": [4, 1]},
+            "tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
+                                                "via_tau": 6, "via_moments": 7}}),
+    Mutant("every rank negated", reordering, {"rank": lambda lam: -real_rank(lam)},
+           {"tau-fixes-single-row-partition": {"n": 2, "tie_break": "lex-descending"}}),
+    Mutant("every rank one higher", reordering, {"rank": lambda lam: real_rank(lam) + 1},
+           {"ospt-tau-matches-moments": {"n": 2, "tie_break": "lex-descending",
+                                         "via_tau": 0, "via_moments": 1},
+            "tau-case-condition": {"n": 2, "tie_break": "lex-descending", "partition": [1, 1],
+                                   "image": [1, 1], "crank": -2, "rank_of_image": 0},
+            "tau-membership-chain": {"n": 3, "tie_break": "lex-descending",
+                                     "partition": [2, 1], "image": [2, 1], "crank": 0,
+                                     "rank_of_image": 1},
+            "tau-position-in-cumulative-window": {"n": 2, "tie_break": "lex-descending",
+                                                  "position": 1, "partition": [1, 1],
+                                                  "image": [1, 1]},
+            "tau-transfers-positive-rank-sum": {"n": 2, "tie_break": "lex-descending",
+                                                "via_tau": 2, "via_moments": 1}}),
+    Mutant("crank 0 read as 1", reordering, {"crank": lambda lam: real_crank(lam) or 1},
+           {"ospt-tau-matches-moments": {"n": 3, "tie_break": "lex-descending",
+                                         "via_tau": 2, "via_moments": 1},
+            "tau-position-in-cumulative-window": {"n": 3, "tie_break": "lex-descending",
+                                                  "position": 2, "partition": [2, 1],
+                                                  "image": [2, 1]}}),
+    Mutant("table N(1, 5) one high", reordering, {},
+           {"tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
+                                                "via_tau": 7, "via_moments": 8}},
+           lambda table: Shifted(table, "rank_count", (1, 5))),
+    Mutant("table ospt(5) one high", reordering, {},
+           {"ospt-tau-matches-moments": {"n": 5, "tie_break": "lex-descending",
+                                         "via_tau": 2, "via_moments": 3}},
+           lambda table: Shifted(table, "ospt_moments", (5,))),
+]
+
+
+def _failures(monkeypatch, mutant, run):
+    for name, stand_in in mutant.patches.items():
+        monkeypatch.setattr(mutant.module, name, stand_in)
+    report = run()
+    return {c.id: c.witness for c in report.checks if c.status == "fail"}
+
+
+@pytest.mark.parametrize("mutant", INJECTION_MUTANTS, ids=lambda mutant: mutant.name)
+def test_injection_mutant(monkeypatch, table30, mutant):
+    run = lambda: verify_injections(3, 12, table=mutant.table(table30))
+    assert _failures(monkeypatch, mutant, run) == mutant.failures
+
+
+@pytest.mark.parametrize("mutant", TAU_MUTANTS, ids=lambda mutant: mutant.name)
+def test_tau_mutant(monkeypatch, table30, mutant):
+    run = lambda: verify_reordering(10, table=mutant.table(table30))
+    assert _failures(monkeypatch, mutant, run) == mutant.failures
+
+
+def test_every_map_check_fails_under_some_mutant(table30):
+    # the tie-break check is the tau suite's one id no row here reaches:
+    # tests/test_reordering.py makes it fail with a second-tie-break mutant
+    ids = {c.id for c in verify_injections(3, 12, table=table30).checks}
+    ids |= {c.id for c in verify_reordering(10, table=table30).checks}
+    failing = {check for mutant in INJECTION_MUTANTS + TAU_MUTANTS for check in mutant.failures}
+    assert ids - failing == {"ospt-tau-tie-break-independent"}

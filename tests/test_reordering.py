@@ -191,3 +191,38 @@ def test_verify_reordering_witnesses_pinned(monkeypatch, table30):
             "n": 7, "tie_break": "lex-descending", "position": 11,
             "partition": [2, 2, 2, 1], "image": [5, 1, 1]},
     }
+
+
+def test_second_tie_break_is_checked(monkeypatch, table30):
+    # under lex-ascending, tau's rank positions reversed with (n) kept last:
+    # still a permutation fixing (n), but its ranks leave rank order
+    real = reordering._tau
+
+    def mutant(n, tie_break, listing):
+        rmap = real(n, tie_break, listing)
+        if tie_break == "lex-ascending":
+            rmap.by_rank = rmap.by_rank[-2::-1] + rmap.by_rank[-1:]
+            rmap.ranks = rmap.ranks[-2::-1] + rmap.ranks[-1:]
+        return rmap
+
+    monkeypatch.setattr(reordering, "_tau", mutant)
+    rep = verify_reordering(14, table=table30)
+    failed = {c.id: c.witness for c in rep.checks if c.status == "fail"}
+    witness = failed["tau-case-condition"]
+    assert witness["crank"] == crank(witness["partition"])
+    assert witness["rank_of_image"] == rank(witness["image"])
+    assert failed == {
+        "ospt-tau-matches-moments": {"n": 6, "tie_break": "lex-ascending",
+                                     "via_tau": 2, "via_moments": 4},
+        "ospt-tau-tie-break-independent": {"n": 6, "values": [2, 4]},
+        "tau-case-condition": {"n": 3, "tie_break": "lex-ascending", "partition": [1, 1, 1],
+                               "image": [2, 1], "crank": -3, "rank_of_image": 0},
+        "tau-membership-chain": {"n": 4, "tie_break": "lex-ascending",
+                                 "partition": [1, 1, 1, 1], "image": [3, 1], "crank": -4,
+                                 "rank_of_image": 1},
+        "tau-position-in-cumulative-window": {"n": 3, "tie_break": "lex-ascending",
+                                              "position": 1, "partition": [1, 1, 1],
+                                              "image": [2, 1]},
+        "tau-transfers-positive-rank-sum": {"n": 4, "tie_break": "lex-ascending",
+                                            "via_tau": 0, "via_moments": 4},
+    }

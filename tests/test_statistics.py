@@ -4,11 +4,18 @@ from hypothesis import given, strategies as st
 from rankcrank.partitions import Partition, conjugate, enumerate_partitions
 from rankcrank.statistics import (
     crank,
-    ones_count,
     rank,
     rank_set_contains,
     smallest_part_count,
 )
+
+
+def ones_count(partition) -> int:
+    """Oracle for the number of parts equal to 1: the suffix of ones."""
+    i = len(partition)
+    while i > 0 and partition[i - 1] == 1:
+        i -= 1
+    return len(partition) - i
 
 
 def test_rank_known_values():
