@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import injections, qseries, reordering, tables
 from .report import VerifyReport
-from .symbols import format_symbol, parse_symbol, to_symbol
+from .symbols import MDurfeeSymbol, format_symbol, parse_symbol
 
 SUITES = ("identities", "injections", "tau", "bounds", "genfun", "all")
 # The map suites list partitions and check them against the arithmetic
@@ -148,37 +148,35 @@ def cmd_table(args) -> int:
     nmax = args.n if single else args.nmax
     table = _table(nmax, args.backend)
     weights = [nmax] if single else range(1, nmax + 1)
-    columns, cells = {
-        "rank": (("N",), (table.rank_count,)),
-        "crank": (("M",), (table.crank_count,)),
-        "both": (("N", "M"), (table.rank_count, table.crank_count)),
+    columns, reads = {
+        "rank": (("N",), (table.rank_row,)),
+        "crank": (("M",), (table.crank_row,)),
+        "both": (("N", "M"), (table.rank_row, table.crank_row)),
     }[args.stat]
+    # each weight's rows are read once and written with one call
     if args.format == "csv":
         sys.stdout.write("n,m," + ",".join(columns) + "\n")
         for n in weights:
-            for m in range(-n, n + 1):
-                sys.stdout.write(f"{n},{m}," + ",".join([str(cell(m, n)) for cell in cells]) + "\n")
+            line = f"{n},{{}}" + ",{}" * len(reads) + "\n"
+            sys.stdout.write("".join(map(line.format, range(-n, n + 1),
+                                         *[read(n) for read in reads])))
     elif args.format == "json":
         out = {} if single else {"nmax": nmax}
         out["provenance"] = table.provenance
-        for column, cell in zip(columns, cells):
+        for column, read in zip(columns, reads):
             out["rank" if column == "N" else "crank"] = {
-                str(n): {str(m): cell(m, n) for m in range(-n, n + 1)} for n in weights}
+                str(n): dict(zip(map(str, range(-n, n + 1)), read(n))) for n in weights}
         if single:
             out["n"] = nmax
         json.dump(out, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        header = f"{'m':>5}  " + "  ".join(f"{c:>8}" for c in columns)
+        header = f"{'m':>5}  " + "  ".join(f"{c:>8}" for c in columns) + "\n"
+        line = "{:>5}" + "  {:>8}" * len(reads) + "\n"
         for n in weights:
-            if not single:
-                sys.stdout.write(f"-- n = {n}\n")
-            sys.stdout.write(header + "\n")
-            for m in range(-n, n + 1):
-                counts = [cell(m, n) for cell in cells]
-                if any(counts):
-                    sys.stdout.write(
-                        f"{m:>5}  " + "  ".join(f"{c:>8}" for c in counts) + "\n")
+            rows = zip(range(-n, n + 1), *[read(n) for read in reads])
+            sys.stdout.write(("" if single else f"-- n = {n}\n") + header + "".join(
+                line.format(*row) for row in rows if any(row[1:])))
     _narrate(f"table: stat={args.stat} n<={nmax} backend={table.provenance}")
     return 0
 
@@ -306,22 +304,20 @@ def cmd_inject(args) -> int:
         if injections.classify(sym, "P") is not wanted:
             raise UsageError(f"symbol is not in class {args.case}: {format_symbol(sym)}")
     else:
-        sym = None
-        # The lightest members are [1 | ]_((m+1)x1) in P2 and [1 | ]_((m+2)x2)
-        # in P3, and padding alpha with ones reaches every heavier weight, so
-        # a class is empty exactly when n is below that weight.
-        lightest = args.m + 2 if args.case == "P2" else 2 * args.m + 5
-        if args.n >= lightest:
-            from .partitions import enumerate_partitions
-
-            for lam in enumerate_partitions(args.n):
-                candidate = to_symbol(lam, args.m)
-                if injections.classify(candidate, "P") is wanted:
-                    sym = candidate
-                    break
-        if sym is None:
+        # The first member in listing (lex-decreasing) order, found without
+        # listing: the lightest members are [1 | ]_((m+1)x1) in P2 and
+        # [1 | ]_((m+2)x2) in P3, and padding alpha with ones reaches every
+        # heavier weight, so a class is empty exactly when n is below that
+        # weight.  The padded symbol is the partition (n - m, 1^m) in P2 and
+        # (n - 2m - 2, 2^(m+1)) in P3.  Every member has at least m + 1
+        # parts (j >= 1), and in P3 at least m + 2 parts >= 2 (j >= 2), so
+        # no member has a larger first part, and that first part forces the
+        # rest: no member comes earlier.
+        j, lightest = (1, args.m + 2) if args.case == "P2" else (2, 2 * args.m + 5)
+        if args.n < lightest:
             _narrate(f"{args.case}(-m+1 = {-args.m + 1}, n = {args.n}) is empty")
             return 1
+        sym = MDurfeeSymbol(args.m, j, (1,) * (args.n - lightest + 1), ())
     forward = injections.theta2 if args.case == "P2" else injections.theta3
     backward = injections.sigma if args.case == "P2" else injections.pi
     image = forward(sym)

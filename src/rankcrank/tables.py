@@ -11,6 +11,11 @@ of weight n at index m + n, with prefix sums so cumulative queries
 cost O(1).  All entries are Python ints, so counts and moments are
 exact at any size: arithmetic cannot overflow or wrap, it just grows.
 
+Readers that want a whole weight take it whole: `rank_row` and
+`crank_row` copy a stored row, `verify_identities` reads each weight's
+six lists once, and every moment is one C-level dot product over the
+stored row.  The per-cell accessors are for single lookups.
+
 Weight-1 convention: the crank row of n = 1 is M(0, 1) = -1 and
 M(-1, 1) = M(1, 1) = 1.  This is a counting convention applied at the
 table level only; `statistics.crank` still maps the partition (1) to
@@ -27,7 +32,8 @@ Two builders with recorded provenance:
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
-  itself), q rows for m >= 0 from a sum over m-Durfee rectangles of
+  itself), summed column by column, one column over n per m, and read
+  back into rows; q rows for m >= 0 from a sum over m-Durfee rectangles of
   filling series F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running
   series per m: F_{m,0} counts partitions with parts <= m, and two
   in-place divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells
@@ -43,7 +49,8 @@ this through n = 60 before the accelerated one is used at larger n.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .partitions import enumerate_partitions, partition_count, partition_count_series
 from .report import CheckRecorder, VerifyReport
@@ -57,7 +64,12 @@ WEIGHT_ONE_CRANK_ROW = {-1: 1, 0: -1, 1: 1}
 
 
 class StatTable:
-    """Dense exact tables of N(m, n), M(m, n), and q(m, n) for n <= nmax."""
+    """Dense exact tables of N(m, n), M(m, n), and q(m, n) for n <= nmax.
+
+    Cell accessors answer one (m, n), out-of-range m included; the row
+    reads and the moments work on a whole stored row of weight n at a
+    time.  Every reader raises ValueError for n outside 1..nmax.
+    """
 
     def __init__(self, nmax, rank_rows, crank_rows, q_rows, spt_tallies, provenance):
         if nmax < 1:
@@ -71,22 +83,24 @@ class StatTable:
         self._rank_prefix = [None] + [list(accumulate(rank_rows[n])) for n in range(1, nmax + 1)]
         self._crank_prefix = [None] + [list(accumulate(crank_rows[n])) for n in range(1, nmax + 1)]
 
-    def _check_n(self, n: int) -> None:
-        if not 1 <= n <= self.nmax:
-            raise ValueError(f"n must be in 1..{self.nmax}, got {n}")
+    def _bad_n(self, n: int) -> ValueError:
+        # each reader tests 1 <= n <= nmax inline and raises this outside it
+        return ValueError(f"n must be in 1..{self.nmax}, got {n}")
 
     # -- cell accessors ------------------------------------------------
 
     def rank_count(self, m: int, n: int) -> int:
         """N(m, n); zero outside |m| <= n."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if abs(m) > n:
             return 0
         return self._rank[n][m + n]
 
     def crank_count(self, m: int, n: int) -> int:
         """M(m, n); zero outside |m| <= n."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if abs(m) > n:
             return 0
         return self._crank[n][m + n]
@@ -97,26 +111,63 @@ class StatTable:
         Zero below -n; the total count for m >= n (every rank-set
         contains all integers from its partition's length upward).
         """
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if m < -n:
             return 0
         if m > n + 2:
-            return self.rank_total(n)
+            return self._rank_prefix[n][-1]
         return self._q[n][m + n]
 
     def rank_total(self, n: int) -> int:
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         return self._rank_prefix[n][-1]
 
     def crank_total(self, n: int) -> int:
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         return self._crank_prefix[n][-1]
+
+    # -- whole-weight reads -----------------------------------------------
+
+    def rank_row(self, n: int) -> list:
+        """[N(-n, n), ..., N(n, n)], a new list with N(m, n) at index m + n."""
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return self._rank[n][:]
+
+    def crank_row(self, n: int) -> list:
+        """[M(-n, n), ..., M(n, n)], a new list with M(m, n) at index m + n."""
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return self._crank[n][:]
+
+    def _padded_reads(self, n: int) -> tuple:
+        """The lists rank, crank, cum_rank, cum_crank, q and p_ge of weight n
+        over -n - 3 <= m <= n + 3, each with m at index m + n + 3.
+
+        Entry m of each list is what `rank_count(m, n)`, `crank_count`,
+        `cum_rank`, `cum_crank`, `q_count` and `p_ge` return, out-of-range
+        values included, read from the stored rows with no call per cell.
+        """
+        rank_prefix, crank_prefix = self._rank_prefix[n], self._crank_prefix[n]
+        total = rank_prefix[-1]
+        return (
+            [0, 0, 0] + self.rank_row(n) + [0, 0, 0],
+            [0, 0, 0] + self.crank_row(n) + [0, 0, 0],
+            [0, 0, 0] + rank_prefix + [total] * 3,
+            [0, 0, 0] + crank_prefix + [crank_prefix[-1]] * 3,
+            [0, 0, 0] + self._q[n] + [total],
+            [total] * 4 + list(map(sub, repeat(total), rank_prefix[:-1])) + [0, 0, 0],
+        )
 
     # -- cumulative queries ---------------------------------------------
 
     def cum_rank(self, m: int, n: int) -> int:
         """N(<= m, n) = sum of N(r, n) over r <= m."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if m < -n:
             return 0
         if m >= n:
@@ -125,7 +176,8 @@ class StatTable:
 
     def cum_crank(self, m: int, n: int) -> int:
         """M(<= m, n) = sum of M(r, n) over r <= m."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if m < -n:
             return 0
         if m >= n:
@@ -134,7 +186,8 @@ class StatTable:
 
     def p_ge(self, m: int, n: int) -> int:
         """Number of partitions of n with rank >= m."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if m <= -n:
             return self._rank_prefix[n][-1]
         if m > n:
@@ -143,36 +196,48 @@ class StatTable:
 
     # -- moments ----------------------------------------------------------
 
+    # Each moment is one dot product of the stored row with the list of
+    # m^k (or |m|), taken at C level: exact ints, whatever the cells hold.
+
     def moment_rank(self, k: int, n: int) -> int:
         """N_k(n) = sum over m of m^k N(m, n), exactly."""
-        self._check_n(n)
-        row = self._rank[n]
-        return sum((i - n) ** k * c for i, c in enumerate(row) if c)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return sum(map(mul, map(pow, range(-n, n + 1), repeat(k)), self._rank[n]))
 
     def moment_crank(self, k: int, n: int) -> int:
         """M_k(n) = sum over m of m^k M(m, n), exactly."""
-        self._check_n(n)
-        row = self._crank[n]
-        return sum((i - n) ** k * c for i, c in enumerate(row) if c)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return sum(map(mul, map(pow, range(-n, n + 1), repeat(k)), self._crank[n]))
 
     def abs_crank_moment(self, n: int) -> int:
         """Sum over m of |m| M(m, n): the total absolute crank."""
-        self._check_n(n)
-        row = self._crank[n]
-        return sum(abs(i - n) * c for i, c in enumerate(row) if c)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return sum(map(mul, map(abs, range(-n, n + 1)), self._crank[n]))
 
     def spt(self, n: int) -> int:
         """spt(n) through the moment identity n p(n) - N_2(n)/2."""
-        self._check_n(n)
-        num = 2 * n * partition_count(n) - self.moment_rank(2, n)
-        half, remainder = divmod(num, 2)
-        if remainder:
+        spt_n, odd = self._spt_from_moment(n, self.moment_rank(2, n))
+        if odd is not None:
             raise ArithmeticError(f"2n p(n) - N_2(n) is odd at n = {n}; table is corrupt")
-        return half
+        return spt_n
+
+    def _spt_from_moment(self, n: int, rank_moment_2: int) -> tuple:
+        """(spt(n), None) from N_2(n) = `rank_moment_2`, by n p(n) - N_2(n)/2.
+
+        An odd 2n p(n) - N_2(n) means a corrupt rank row: the pair is then
+        (its floor half, the witness {"n": n, "2np-N2": numerator}), and
+        every check reading spt(n) fails with that witness.
+        """
+        two_spt = 2 * n * partition_count(n) - rank_moment_2
+        return two_spt // 2, None if two_spt % 2 == 0 else {"n": n, "2np-N2": two_spt}
 
     def spt_tally(self, n: int) -> int:
         """spt(n) as tallied during enumeration (enumerated tables only)."""
-        self._check_n(n)
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
         if self._spt is None:
             raise ValueError(f"{self.provenance!r} table carries no smallest-part tally")
         return self._spt[n]
@@ -183,9 +248,10 @@ class StatTable:
 
     def ospt_moments(self, n: int) -> int:
         """ospt(n) = sum over m >= 1 of m (M(m, n) - N(m, n))."""
-        self._check_n(n)
-        rank_row, crank_row = self._rank[n], self._crank[n]
-        return sum((i - n) * (crank_row[i] - rank_row[i]) for i in range(n + 1, 2 * n + 1))
+        if not 1 <= n <= self.nmax:
+            raise self._bad_n(n)
+        return sum(map(mul, range(1, n + 1),
+                       map(sub, self._crank[n][n + 1:], self._rank[n][n + 1:])))
 
 
 def build(nmax: int) -> StatTable:
@@ -304,26 +370,27 @@ def _rows_from_series(nmax: int, base_exponent) -> list:
       sum over k >= 1 of (-1)^(k-1) [p(n - e(k)) - p(n - e(k) - k)],
 
     where e(k) = k(3k-1)/2 + mk for the rank and e(k) = k(k-1)/2 + mk
-    for the crank (`base_exponent` maps (k, m) to e(k)).  Rows are
-    completed by the m <-> -m symmetry.  Note the crank series yields
-    the weight-1 convention row on its own.
+    for the crank (`base_exponent` maps (k, m) to e(k)).  Each m gets one
+    column over 0 <= n <= nmax, and each term adds or subtracts the
+    shifted p-series from a slice of it at C level.  Every term starts
+    at n >= e >= m, so the column vanishes below n = m.  Row n reads
+    the columns at n for 0 <= m <= n and is completed by the m <-> -m
+    symmetry.  Note the crank series yields the weight-1 convention row
+    on its own.
     """
     ps = partition_count_series(nmax)
-    rows: list = [None] + [[0] * (2 * n + 1) for n in range(1, nmax + 1)]
+    cols = []  # cols[m][n]: the count at (m, n), 0 <= m, n <= nmax
     for m in range(0, nmax + 1):
+        col = [0] * (nmax + 1)
         k = 1
         while (e := base_exponent(k, m)) <= nmax:
-            sign = 1 if k % 2 else -1
-            # every contribution lands at n >= e >= m, inside the row
-            for n in range(max(e, m, 1), nmax + 1):
-                rows[n][m + n] += sign * ps[n - e]
-            for n in range(max(e + k, m, 1), nmax + 1):
-                rows[n][m + n] -= sign * ps[n - e - k]
+            first, second = (add, sub) if k % 2 else (sub, add)
+            col[e:] = map(first, col[e:], ps)
+            col[e + k:] = map(second, col[e + k:], ps)
             k += 1
-    for n in range(1, nmax + 1):
-        for m in range(1, n + 1):
-            rows[n][-m + n] = rows[n][m + n]
-    return rows
+        cols.append(col)
+    at = list(zip(*cols))  # at[n][m] = cols[m][n]
+    return [None] + [list(at[n][n:0:-1] + at[n][:n + 1]) for n in range(1, nmax + 1)]
 
 
 def _bounded_part_counts(nmax: int) -> list:
@@ -376,13 +443,13 @@ def build_accelerated(nmax: int) -> StatTable:
             for k in (m + j, j):
                 for a in range(k, len(fill)):
                     fill[a] += fill[a - k]
-            col[offset:] = [c + f for c, f in zip(col[offset:], fill)]
+            col[offset:] = map(add, col[offset:], fill)
             j += 1
         q_cols.append(col)
-    q_rows: list = [None]
-    for n in range(1, nmax + 1):
-        q_rows.append([ps[n] - q_cols[-m - 1][n] for m in range(-n, 0)]
-                      + [q_cols[m][n] for m in range(n + 3)])
+    at = list(zip(*q_cols))  # at[n][m] = q(m, n) for 0 <= m <= nmax + 2
+    # m < 0 reads q(-m - 1, n), from m = -n (index n - 1) up to m = -1 (index 0)
+    q_rows = [None] + [list(map(sub, repeat(ps[n]), at[n][n - 1::-1])) + list(at[n][:n + 3])
+                       for n in range(1, nmax + 1)]
     return StatTable(nmax, rank_rows, crank_rows, q_rows, None, "accelerated")
 
 
@@ -404,16 +471,10 @@ def verify_identities(table: StatTable) -> VerifyReport:
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
-        # Each of the weight's cells is read once; m sits at index m + o.
+        # The weight's six lists are read whole, once; m sits at index m + o.
         o = n + 3
-        cells = range(-o, o + 1)
-        rank = [table.rank_count(m, n) for m in cells]
-        crank = [table.crank_count(m, n) for m in cells]
-        cum_rank = [table.cum_rank(m, n) for m in cells]
-        cum_crank = [table.cum_crank(m, n) for m in cells]
-        q = [table.q_count(m, n) for m in cells]
-        p_ge = [table.p_ge(m, n) for m in cells]
-        rank_total, crank_total = table.rank_total(n), table.crank_total(n)
+        rank, crank, cum_rank, cum_crank, q, p_ge = table._padded_reads(n)
+        rank_total, crank_total = cum_rank[-1], cum_crank[-1]
         rec.expect("rank-row-sums-to-p", rank_total == pn,
                    lambda: {"n": n, "total": rank_total, "p": pn})
         rec.expect("crank-row-sums-to-p", crank_total == pn,
@@ -467,11 +528,8 @@ def verify_identities(table: StatTable) -> VerifyReport:
         m2_crank = table.moment_crank(2, n)
         rec.expect("crank-second-moment-is-2np", m2_crank == 2 * n * pn,
                    lambda: {"n": n, "M2": m2_crank, "2np": 2 * n * pn})
-        # spt(n) = (2n p(n) - N_2(n)) / 2; an odd numerator is a corrupt
-        # rank row, and every check reading spt(n) fails on it
-        two_spt = 2 * n * pn - m2_rank
-        spt_from_rank = two_spt // 2
-        odd = None if two_spt % 2 == 0 else {"n": n, "2np-N2": two_spt}
+        # an odd 2n p(n) - N_2(n) fails every check reading spt(n)
+        spt_from_rank, odd = table._spt_from_moment(n, m2_rank)
         rec.expect("spt-moment-routes-agree",
                    odd is None and 2 * spt_from_rank == m2_crank - m2_rank,
                    odd or (lambda: {"n": n, "spt": spt_from_rank, "M2-N2": m2_crank - m2_rank}))
@@ -498,10 +556,9 @@ def verify_bounds(table: StatTable) -> VerifyReport:
     rec = CheckRecorder()
     for n in range(1, nmax + 1):
         pn = partition_count(n)
-        # spt(n) as in verify_identities: an odd 2n p(n) - N_2(n) fails every spt check
-        two_spt = 2 * n * pn - table.moment_rank(2, n)
-        spt_n = two_spt // 2
-        odd = None if two_spt % 2 == 0 else {"n": n, "2np-N2": two_spt}
+        # an odd 2n p(n) - N_2(n) fails every spt check; N_2(n) serves k = 1 below
+        m2_rank = table.moment_rank(2, n)
+        spt_n, odd = table._spt_from_moment(n, m2_rank)
         abs_crank = table.abs_crank_moment(n)
         if n >= 2:
             ospt_n = table.ospt_moments(n)
@@ -531,11 +588,10 @@ def verify_bounds(table: StatTable) -> VerifyReport:
                        abs_crank * abs_crank <= 2 * n * pn * pn,
                        lambda: {"n": n, "abs_crank_sum": abs_crank, "p": pn})
         for k in (1, 2, 3):
-            rec.expect(f"crank-even-moment-dominates-k{k}",
-                       table.moment_crank(2 * k, n) > table.moment_rank(2 * k, n),
-                       lambda: {"n": n, "k": k,
-                                "M2k": table.moment_crank(2 * k, n),
-                                "N2k": table.moment_rank(2 * k, n)})
+            m2k_crank = table.moment_crank(2 * k, n)
+            n2k_rank = m2_rank if k == 1 else table.moment_rank(2 * k, n)
+            rec.expect(f"crank-even-moment-dominates-k{k}", m2k_crank > n2k_rank,
+                       lambda: {"n": n, "k": k, "M2k": m2k_crank, "N2k": n2k_rank})
     ratios = []
     pn = partition_count(nmax)
     for m in (-1, -2, -3):

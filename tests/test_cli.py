@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -267,13 +269,32 @@ def test_inject_empty_class_lists_no_partitions(capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", ["P2", "P3"])
 def test_inject_reports_empty_exactly_when_no_member(capsys, case):
+    # and otherwise shows the first member of the plain lex-decreasing scan
     wanted = injections.SymbolClass[case]
-    for m in range(0, 4):
-        for n in range(1, 15):
-            has_member = any(injections.classify(to_symbol(lam, m), "P") is wanted
-                             for lam in partitions.enumerate_partitions(n))
+    for m in range(0, 8):
+        for n in range(1, 26):
+            first = next((symbol for symbol in (to_symbol(lam, m)
+                                                for lam in partitions.enumerate_partitions(n))
+                          if injections.classify(symbol, "P") is wanted), None)
             code, out, _ = run(capsys, "inject", "--m", str(m), "--n", str(n), "--case", case)
-            assert (code, bool(out)) == ((0, True) if has_member else (1, False)), (m, n)
+            if first is None:
+                assert (code, out) == (1, ""), (m, n)
+            else:
+                assert code == 0 and out.splitlines()[0] == f"input:     {first}", (m, n)
+
+
+@pytest.mark.parametrize("m, case, member", [
+    ("78", "P2", "[1 | ]_(79x1)"),    # (2, 1^78)
+    ("37", "P3", "[1,1 | ]_(39x2)"),  # (4, 2^38), after most of p(80) in listing order
+])
+def test_inject_first_member_lists_no_partitions(capsys, monkeypatch, m, case, member):
+    def refuse(n):
+        raise AssertionError(f"listed the partitions of {n}")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    code, out, err = run(capsys, "inject", "--m", m, "--n", "80", "--case", case)
+    assert code == 0 and "round-trip ok" in err
+    assert out.splitlines()[0] == f"input:     {member}"
 
 
 def test_ospt_comparison(capsys):
@@ -379,3 +400,35 @@ def test_console_script_subprocess():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,m,M"
     assert "1" in proc.stdout
+
+
+# SHA-256 of the stdout of each desk-scale request kind at nmax 100, so
+# that no change to how the tables layer reads rows or the CLI writes them
+# moves a byte; a verify report is hashed without its "elapsed_ms" line,
+# the one field that is not a function of the input.
+DESK_STDOUT_SHA256 = {
+    ("table", "both", "csv"): "d93079245413018547e17b63b44344a86045682b7fd1b02e617fc110293f1073",
+    ("table", "both", "json"): "5a64278b972a239c6d3b86da6504589607f108741f0f26a654994f46a1805242",
+    ("table", "both", "text"): "2cd603f295f5d3c7bc87fae0e647c55a05501d78f8826c7f7d8681c384a7bf87",
+    ("table", "rank", "csv"): "8348b3e37a0e8921f50814d93b5424fde1a9248ed9b887c272a4feac0ee42fa2",
+    ("table", "rank", "json"): "ee5a5d8f397d6c426691b14ff3c122f84a660fd816c60d2542d1b291b357a49b",
+    ("table", "rank", "text"): "dc35800809d23b691c6dc740150c20ce5023430797d4e408378a49bf6a17f3fa",
+    ("table", "crank", "csv"): "3f5a70cd4067c01de83a6b26229e84ba29139367e6294d441921526e6810e802",
+    ("table", "crank", "json"): "4bfbe531d4af9abf9401225a38a1a780d5fd07fd4bd5a386c24b2a7d2c05eab4",
+    ("table", "crank", "text"): "3e118026478b9528d8efe3ed661315ca3be89461573a78792fa9ef09a1148408",
+    ("verify", "identities"): "9a0a2c2885c43253e82e0061da0f3fa81490fec3e775f0ab35bff5e5d7f6ddf4",
+    ("verify", "bounds"): "7c17cb9c14ed24ecd2ea7199117abbd24356ac04ca511218b1479a4550fdbeeb",
+}
+
+
+@pytest.mark.parametrize("key", DESK_STDOUT_SHA256, ids="-".join)
+def test_desk_request_stdout_unchanged(capsys, key):
+    if key[0] == "table":
+        argv = ("table", "--stat", key[1], "--nmax", "100", "--backend", "accelerated",
+                "--format", key[2])
+    else:
+        argv = ("verify", "--suite", key[1], "--nmax", "100", "--extended")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out = re.sub(r'\n  "elapsed_ms": \d+', "", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]

@@ -1,17 +1,21 @@
-"""Mutants of the injection and tau suites: every check must be able to fail.
+"""Mutants of the injection, tau, identities and bounds suites: every
+check must be able to fail.
 
-Each row patches a map, a statistic or a table read with a stateless
-stand-in, runs one suite at a small size, and pins the exact failing
-check ids with their first witnesses.  A change to either suite's loop
-must keep every row passing unchanged, and a row is added for any check
-that no row makes fail yet.
+Each map-suite row patches a map, a statistic or a table read with a
+stateless stand-in; each table-suite row corrupts cells of a fresh
+`build(8)` and restores its prefix sums, so it reaches the suites
+through whatever read path they take.  A row runs one suite at a small
+size and pins the exact failing check ids with their first witnesses.
+A change to a suite's loop must keep every row passing unchanged, and
+a row is added for any check that no row makes fail yet.
 """
 
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import pytest
 
-from rankcrank import injections, reordering
+from rankcrank import injections, reordering, tables
 from rankcrank.injections import SymbolClass, verify_injections
 from rankcrank.reordering import verify_reordering
 from rankcrank.symbols import MDurfeeSymbol, to_symbol
@@ -192,3 +196,111 @@ def test_every_map_check_fails_under_some_mutant(table30):
     ids |= {c.id for c in verify_reordering(10, table=table30).checks}
     failing = {check for mutant in INJECTION_MUTANTS + TAU_MUTANTS for check in mutant.failures}
     assert ids - failing == {"ospt-tau-tie-break-independent"}
+
+
+class CellMutant(NamedTuple):
+    name: str
+    cells: tuple  # (row, m, n, delta); row "rank", "crank", "q" or "spt"
+    failures: dict  # check id -> first witness
+
+
+def corrupted(cells):
+    """A fresh `build(8)` with `cells` shifted and its prefix sums restored."""
+    table = tables.build(8)
+    for row, m, n, delta in cells:
+        if row == "spt":
+            table._spt[n] += delta
+        else:
+            getattr(table, f"_{row}")[n][m + n] += delta
+    table._rank_prefix = [None] + [list(accumulate(r)) for r in table._rank[1:]]
+    table._crank_prefix = [None] + [list(accumulate(r)) for r in table._crank[1:]]
+    return table
+
+
+# N(1, 2) + 1 moves N_2(2) by 1: 2n p(n) - N_2(n) = 5 is odd
+ODD_AT_2 = {"n": 2, "2np-N2": 5}
+
+IDENTITY_MUTANTS = [
+    CellMutant("crank M(4, 4) one low", (("crank", 4, 4, -1),), {
+        "crank-cum-complement": {"n": 4, "m": 4},
+        "crank-cum-equals-rank-set-count": {"n": 4, "m": 4, "cum_crank": 4, "q": 5},
+        "crank-row-sums-to-p": {"n": 4, "total": 4, "p": 5},
+        "crank-second-moment-is-2np": {"n": 4, "M2": 24, "2np": 40},
+        "crank-symmetric-in-m": {"n": 4, "m": 4},
+        "cum-chain-nonnegative-m": {"n": 4, "m": 4, "cum_rank_prev": 5, "cum_crank": 4,
+                                    "cum_rank": 5},
+        "cum-difference-transfer": {"n": 4, "m": 4},
+        "spt-moment-routes-agree": {"n": 4, "spt": 10, "M2-N2": 4}}),
+    CellMutant("rank N(1, 2) one high", (("rank", 1, 2, 1),), {
+        "cum-chain-nonnegative-m": {"n": 2, "m": 2, "cum_rank_prev": 3, "cum_crank": 2,
+                                    "cum_rank": 3},
+        "cum-difference-transfer": {"n": 2, "m": -4},
+        "rank-cum-complement": {"n": 2, "m": -4},
+        "rank-first-moment-vanishes": {"n": 2, "N1": 1},
+        "rank-row-sums-to-p": {"n": 2, "total": 3, "p": 2},
+        "rank-set-count-dominates-rank-tail": {"n": 2, "m": 0, "q": 1, "p_ge": 2},
+        "rank-symmetric-in-m": {"n": 2, "m": 1},
+        "spt-moment-routes-agree": ODD_AT_2,
+        "spt-tally-matches-moments": ODD_AT_2}),
+    CellMutant("rank N(+-8, 8) one high", (("rank", 8, 8, 1), ("rank", -8, 8, 1)), {
+        "cum-chain-negative-m": {"n": 8, "m": -7, "cum_rank": 2, "cum_crank": 1,
+                                 "cum_rank_next": 2},
+        "cum-chain-nonnegative-m": {"n": 8, "m": 3, "cum_rank_prev": 18, "cum_crank": 17,
+                                    "cum_rank": 20},
+        "cum-difference-transfer": {"n": 8, "m": -10},
+        "rank-cum-complement": {"n": 8, "m": -10},
+        "rank-row-sums-to-p": {"n": 8, "total": 24, "p": 22},
+        "rank-set-count-dominates-rank-tail": {"n": 8, "m": 3, "q": 17, "p_ge": 18},
+        "spt-tally-matches-moments": {"n": 8, "tally": 57, "moments": -7}}),
+    CellMutant("q(0, 3) one high", (("q", 0, 3, 1),), {
+        "crank-cum-complement": {"n": 3, "m": -1},
+        "crank-cum-equals-rank-set-count": {"n": 3, "m": 0, "cum_crank": 2, "q": 3},
+        "cum-difference-transfer": {"n": 3, "m": -1}}),
+    CellMutant("spt tally of 5 one high", (("spt", 0, 5, 1),), {
+        "spt-tally-matches-moments": {"n": 5, "tally": 15, "moments": 14}}),
+]
+
+BOUNDS_MUTANTS = [
+    CellMutant("rank N(+-8, 8) one high", (("rank", 8, 8, 1), ("rank", -8, 8, 1)), {
+        "crank-even-moment-dominates-k1": {"n": 8, "k": 1, "M2k": 352, "N2k": 366},
+        "crank-even-moment-dominates-k2": {"n": 8, "k": 2, "M2k": 13288, "N2k": 15150},
+        "crank-even-moment-dominates-k3": {"n": 8, "k": 3, "M2k": 666952, "N2k": 802206},
+        "ospt-positive": {"n": 8, "ospt": -1},
+        "spt-at-least-sqrt-6n-over-pi-p": {"n": 8, "spt": -7, "p": 22}}),
+    CellMutant("rank N(+-8, 8) one low", (("rank", 8, 8, -1), ("rank", -8, 8, -1)), {
+        "ospt-at-most-half-crank-zero-gap": {"n": 8, "ospt": 15, "p": 22, "M0": 2},
+        "spt-at-most-abs-crank-sum": {"n": 8, "spt": 121, "abs_crank_sum": 72},
+        "spt-at-most-sqrt-2n-p": {"n": 8, "spt": 121, "p": 22},
+        "spt-at-most-sqrt-n-p": {"n": 8, "spt": 121, "p": 22}}),
+    CellMutant("rank N(1, 2) one high", (("rank", 1, 2, 1),), {
+        "ospt-positive": {"n": 2, "ospt": 0},
+        "spt-at-most-abs-crank-sum": ODD_AT_2,
+        "spt-at-most-sqrt-2n-p": ODD_AT_2}),
+    CellMutant("crank M(+-2, 2) two high", (("crank", 2, 2, 2), ("crank", -2, 2, 2)), {
+        "abs-crank-sum-at-most-sqrt-2n-p": {"n": 2, "abs_crank_sum": 12, "p": 2},
+        "ospt-at-most-half-crank-zero-gap": {"n": 2, "ospt": 5, "p": 2, "M0": 0}}),
+    CellMutant("crank M(0, 4) one high", (("crank", 0, 4, 1),), {
+        "ospt-at-most-half-crank-zero-gap": {"n": 4, "ospt": 2, "p": 5, "M0": 2}}),
+]
+
+
+def _table_failures(report):
+    return {c.id: c.witness for c in report.checks if c.status == "fail"}
+
+
+@pytest.mark.parametrize("mutant", IDENTITY_MUTANTS, ids=lambda mutant: mutant.name)
+def test_identities_mutant(mutant):
+    assert _table_failures(tables.verify_identities(corrupted(mutant.cells))) == mutant.failures
+
+
+@pytest.mark.parametrize("mutant", BOUNDS_MUTANTS, ids=lambda mutant: mutant.name)
+def test_bounds_mutant(mutant):
+    assert _table_failures(tables.verify_bounds(corrupted(mutant.cells))) == mutant.failures
+
+
+def test_every_table_check_fails_under_some_mutant():
+    table = tables.build(8)
+    for suite, mutants in ((tables.verify_identities, IDENTITY_MUTANTS),
+                           (tables.verify_bounds, BOUNDS_MUTANTS)):
+        ids = {c.id for c in suite(table).checks}
+        assert ids == {check for mutant in mutants for check in mutant.failures}

@@ -322,3 +322,40 @@ def test_odd_spt_numerator_fails_spt_checks_without_raising():
         "spt-at-most-sqrt-2n-p": odd,
         "spt-at-most-sqrt-n-p": odd,
     }
+
+
+READS = ("rank_count", "crank_count", "cum_rank", "cum_crank", "q_count", "p_ge")
+
+
+@pytest.mark.parametrize("build_table", [tables.build, tables.build_accelerated])
+def test_whole_weight_reads_match_cell_accessors(build_table):
+    # the lists verify_identities reads, against one accessor call per cell
+    t = build_table(30)
+    for n in range(1, 31):
+        cells = range(-n - 3, n + 4)
+        lists = t._padded_reads(n)
+        for name, got in zip(READS, lists):
+            assert got == [getattr(t, name)(m, n) for m in cells], (name, n)
+        assert t.rank_row(n) == [t.rank_count(m, n) for m in range(-n, n + 1)], n
+        assert t.crank_row(n) == [t.crank_count(m, n) for m in range(-n, n + 1)], n
+
+
+def assert_moments_match_definitions(t, weights):
+    for n in weights:
+        ms = range(-n, n + 1)
+        for k in range(7):
+            assert t.moment_rank(k, n) == sum(m**k * t.rank_count(m, n) for m in ms), (k, n)
+            assert t.moment_crank(k, n) == sum(m**k * t.crank_count(m, n) for m in ms), (k, n)
+        assert t.abs_crank_moment(n) == sum(abs(m) * t.crank_count(m, n) for m in ms), n
+        assert t.ospt_moments(n) == sum(m * (t.crank_count(m, n) - t.rank_count(m, n))
+                                        for m in range(1, n + 1)), n
+
+
+def test_moments_match_per_cell_definitions(table60, accel100):
+    assert_moments_match_definitions(table60, range(1, 61))
+    assert_moments_match_definitions(accel100, range(1, 61))
+    # negative cells, as a corrupt row may hold, count with their sign
+    t = tables.build(8)
+    t._rank[7][7 + 3] = -4
+    t._crank[7][7 - 5] = -9
+    assert_moments_match_definitions(t, [7])
