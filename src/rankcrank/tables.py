@@ -23,12 +23,16 @@ table level only; `statistics.crank` still maps the partition (1) to
 
 Two builders with recorded provenance:
 
-* `build` streams the partitions of nmax once.  Splitting each into
-  its ones-free part mu and a block of ones meets every ones-free mu
-  of weight <= nmax exactly once, and the rank, crank, rank-set and
+* `build` walks the ones-free partitions mu of each weight w <= nmax
+  once, in place and in lex-decreasing order.  Every partition of n is
+  such a mu plus a block of ones, and the rank, crank, rank-set and
   smallest-part count of mu + 1^omega follow from mu in closed form,
-  so that one pass tallies every row n <= nmax statistic by statistic.
-  It is the required backend and the oracle for everything else.
+  so that one walk per weight tallies every row n <= nmax statistic by
+  statistic.  A part is credited once for the whole run of partitions
+  that keep it at its index, not once per partition.  It is the
+  required backend and the oracle for everything else, and it lists
+  its partitions itself: it neither calls `enumerate_partitions` nor
+  reads the series backend.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
@@ -50,9 +54,9 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, ge, le, mul, sub
 
-from .partitions import enumerate_partitions, partition_count, partition_count_series
+from .partitions import partition_count, partition_count_series
 from .report import CheckRecorder, VerifyReport
 
 # Rational lower bound for pi^2, used to check sqrt(6n)/pi bounds in
@@ -255,19 +259,17 @@ class StatTable:
 
 
 def build(nmax: int) -> StatTable:
-    """Tally every table cell from one pass over the partitions of nmax.
+    """Tally every table cell from one walk over the ones-free partitions
+    of each weight w = 2..nmax.
 
-    Every partition of n is mu + 1^omega with mu free of ones, and
-    writing each partition of nmax as mu + 1^omega0 meets every
-    ones-free mu of weight w <= nmax exactly once (w = nmax - omega0).
-    So the pass visits each mu once and credits it to all the rows
-    n = w + omega, w <= n <= nmax, in closed form.  With L = len(mu),
-    mu' its conjugate, and every count stored at index m + n:
+    Every partition of n is mu + 1^omega with mu free of ones, so the
+    walks meet every ones-free mu of weight w <= nmax exactly once and
+    credit it to all the rows n = w + omega, w <= n <= nmax, in closed
+    form.  With L = len(mu), mu' its conjugate, and every count stored
+    at index m + n:
 
     * rank: mu_1 - L - omega, so index mu_1 - L + w for every omega
-      (for mu = () the row-n partition is 1^n, rank index 1: reading
-      mu_1 as the largest part of the partition of nmax, here 1, keeps
-      the one formula);
+      (for mu = () the row-n partition is 1^n, rank index 1);
     * crank: mu_1 at omega = 0 (index mu_1 + w); for omega >= 1 it is
       mu'_(omega+1) - omega, index mu'_(omega+1) + w, which starts at
       L + w and drops by one as omega reaches each part;
@@ -279,7 +281,22 @@ def build(nmax: int) -> StatTable:
       one short of the tail, so the two never join into one interval;
       the missing cell sits at the constant n - m = w - L + 1.
 
-    The pass records each contribution at the row where it starts (and,
+    The walk over weight w lists its ones-free partitions in
+    lex-decreasing order, in place, with Zoghbi and Stojmenovic's ZS1
+    successor stripped of ones: take the last part x_h >= 3 and the
+    budget B = x_h + 2 t of it and the t 2s after it; when x_h = 3, B is
+    odd, so step back to x_(h-1) >= 3 and add it to B (with no index to
+    step back to, the walk ends); then refill greedily from v = x_h - 1
+    as v^q and the remainder r, where r = 1 becomes v^(q-1), v - 1, 2.
+    The pair (mu_1, L) and the smallest-part multiplicity, which the
+    refill has just written, are tallied per partition.  The points
+    k - mu_k and the crank steps at mu_k are fixed by the pair (k, mu_k)
+    and w, so each part >= 3 is credited once for the whole run of
+    partitions that keep it at index k, when it changes or the walk
+    ends.  The 2s are counted after the walk instead: index k holds a 2
+    in every partition longer than k that has no part >= 3 there.
+
+    The walk records each contribution at the row where it starts (and,
     for the crank, where it stops); one sweep over n sums them.
 
     >>> build(4).crank_count(0, 4)
@@ -298,20 +315,82 @@ def build(nmax: int) -> StatTable:
     # crank_step[n][c]: cranks in row n whose index drops from c + 1 to c
     # (n = w + mu_k runs to 2 nmax; rows past nmax are never read)
     crank_step = [[0] * (width + 1) for _ in range(2 * nmax + 1)]
-    for lam in enumerate_partitions(nmax):
-        ones = lam.count(1)
-        size = len(lam) - ones
-        w = nmax - ones
-        top = lam[0]
-        rank_at[w][top - size + w] += 1
-        top_at[w][top] += 1
-        length_at[w][size] += 1
-        smallest_at[w] += lam.count(lam[size - 1])
+    rank_at[0][1] = top_at[0][1] = length_at[0][0] = 1  # mu = ()
+    for w in range(2, nmax + 1):
+        span, longest = w + 1, w // 2 + 1
+        shape = [0] * (span * longest)  # shape[mu_1 * longest + L]: partitions
+        held = [0] * (span * (w // 2))  # held[k * span + v]: partitions with mu_k = v
+        x = [w] if w > 2 else []  # the parts >= 3; `twos` 2s follow them
+        twos = 0 if w > 2 else 1
+        born = [0] * len(x)  # born[k]: the partition from which x[k] holds its value
+        mult = 1  # the multiplicity of x[-1] while twos = 0
+        smallest = 0
+        c = 0  # the partitions of w before this one
+        while True:
+            size = len(x) + twos
+            shape[(x[0] if x else 2) * longest + size] += 1
+            smallest += twos or mult
+            h = size - twos - 1
+            if h < 0:
+                break  # 2^(w/2), the last partition of even w
+            v = x[h] - 1
+            if v == 2 and not h:
+                break  # (3, 2^t), the last partition of odd w
+            c += 1
+            budget = v + 1 + 2 * twos
+            # each part that changes is credited with its run, c - born[k]
+            if v == 2:  # x_h = 3 leaves an odd budget: step back to x_(h-1) >= 3
+                held[h * span + 3] += c - born[h]
+                h -= 1
+                v = x[h] - 1
+                budget += v + 1
+                if v == 2:  # (..., 3, 3, 2^t) -> (..., 2^(t+3))
+                    held[h * span + 3] += c - born[h]
+                    del x[h:], born[h:]
+                    twos = budget // 2
+                    continue
+            held[h * span + v + 1] += c - born[h]
+            del x[h:], born[h:]
+            # refill greedily: v^q and r, or v^(q-1), v - 1, 2 for r = 1
+            q, r = divmod(budget, v)
+            if r == 1:
+                x += [v] * (q - 1)
+                if v == 3:
+                    twos = 2
+                else:
+                    x.append(v - 1)
+                    twos = 1
+            elif r == 2:
+                x += [v] * q
+                twos = 1
+            else:
+                x += [v] * q
+                if r:
+                    x.append(r)
+                twos = 0
+                mult = 1 if r else q
+            born += [c] * (len(x) - h)
+        c += 1
+        for k, v in enumerate(x):
+            held[k * span + v] += c - born[k]
+        rank_w, top_w, length_w = rank_at[w], top_at[w], length_at[w]
+        for top in range(2, span):
+            for size in range(1, longest):
+                if count := shape[top * longest + size]:
+                    rank_w[top - size + w] += count
+                    top_w[top] += count
+                    length_w[size] += count
+        smallest_at[w] = smallest
         points = points_at[w]
-        for k in range(size):
-            v = lam[k]
-            points[k - v + q_off] += 1
-            crank_step[w + v][w + k] += 1
+        longer = c  # partitions with more than k parts
+        for k in range(w // 2):
+            longer -= length_w[k]
+            row = k * span
+            held[row + 2] = longer - sum(held[row + 3:row + span])
+            for v in range(2, span):
+                if count := held[row + v]:
+                    points[k - v + q_off] += count
+                    crank_step[w + v][w + k] += count
 
     rank_rows: list = [None]
     crank_rows: list = [None]
@@ -479,44 +558,58 @@ def verify_identities(table: StatTable) -> VerifyReport:
                    lambda: {"n": n, "total": rank_total, "p": pn})
         rec.expect("crank-row-sums-to-p", crank_total == pn,
                    lambda: {"n": n, "total": crank_total, "p": pn})
-        # Each per-m check scans its m range in increasing order for its
-        # first failure and is recorded once; only a failure builds a witness.
-        bad = next((m for m in range(1, n + 1) if rank[o + m] != rank[o - m]), None)
+        # Each per-m check is cleared at C level by a slice or list comparison
+        # (index i of every list holds m = i - o); only a failing one scans
+        # its m range in increasing order for its first failure.  Each is
+        # recorded once, and only a failure builds a witness.
+        bad = None if rank[o + 1:o + n + 1] == rank[o - 1:2:-1] else next(
+            m for m in range(1, n + 1) if rank[o + m] != rank[o - m])
         rec.expect("rank-symmetric-in-m", bad is None,
                    None if bad is None else {"n": n, "m": bad})
-        bad = next((m for m in range(1, n + 1) if crank[o + m] != crank[o - m]), None)
+        bad = None if crank[o + 1:o + n + 1] == crank[o - 1:2:-1] else next(
+            m for m in range(1, n + 1) if crank[o + m] != crank[o - m])
         rec.expect("crank-symmetric-in-m", bad is None,
                    None if bad is None else {"n": n, "m": bad})
-        bad = next((m for m in range(-n - 2, n + 3) if cum_crank[o + m] != q[o + m]), None)
+        bad = None if cum_crank[1:-1] == q[1:-1] else next(
+            m for m in range(-n - 2, n + 3) if cum_crank[o + m] != q[o + m])
         rec.expect("crank-cum-equals-rank-set-count", bad is None,
                    None if bad is None else {"n": n, "m": bad, "cum_crank": cum_crank[o + bad],
                                              "q": q[o + bad]})
-        bad = next((m for m in range(-n - 2, n + 1)
-                    if cum_rank[o + m + 1] != pn - p_ge[o + m + 2]), None)
+        # over -n - 2 <= m <= n: N(<= m+1) + p_ge(m+2) and M(<= m) + q(-m-1)
+        rank_sums = list(map(add, cum_rank[2:-2], p_ge[3:-1]))
+        crank_sums = list(map(add, cum_crank[1:-3], q[-3:1:-1]))
+        all_p = [pn] * len(rank_sums)
+        bad = None if rank_sums == all_p else next(
+            m for m in range(-n - 2, n + 1) if cum_rank[o + m + 1] != pn - p_ge[o + m + 2])
         rec.expect("rank-cum-complement", bad is None,
                    None if bad is None else {"n": n, "m": bad})
-        bad = next((m for m in range(-n - 2, n + 1)
-                    if cum_crank[o + m] != pn - q[o - m - 1]), None)
+        bad = None if crank_sums == all_p else next(
+            m for m in range(-n - 2, n + 1) if cum_crank[o + m] != pn - q[o - m - 1])
         rec.expect("crank-cum-complement", bad is None,
                    None if bad is None else {"n": n, "m": bad})
-        bad = next((m for m in range(-n - 2, n + 1)
-                    if cum_rank[o + m + 1] - cum_crank[o + m] != q[o - m - 1] - p_ge[o + m + 2]),
-                   None)
+        bad = None if rank_sums == crank_sums else next(
+            m for m in range(-n - 2, n + 1)
+            if cum_rank[o + m + 1] - cum_crank[o + m] != q[o - m - 1] - p_ge[o + m + 2])
         rec.expect("cum-difference-transfer", bad is None,
                    None if bad is None else {"n": n, "m": bad})
-        bad = next((m for m in range(0, n + 3) if q[o + m] < p_ge[o - m + 1]), None)
+        bad = None if all(map(ge, q[o:-1], p_ge[o + 1:1:-1])) else next(
+            m for m in range(0, n + 3) if q[o + m] < p_ge[o - m + 1])
         rec.expect("rank-set-count-dominates-rank-tail", bad is None,
                    None if bad is None else {"n": n, "m": bad, "q": q[o + bad],
                                              "p_ge": p_ge[o - bad + 1]})
-        bad = next((m for m in range(-n - 2, 0)
-                    if not cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1]), None)
+        bad = None if (all(map(le, cum_rank[1:o], cum_crank[1:o]))
+                       and all(map(le, cum_crank[1:o], cum_rank[2:o + 1]))) else next(
+            m for m in range(-n - 2, 0)
+            if not cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1])
         rec.expect("cum-chain-negative-m", bad is None,
                    None if bad is None else {"n": n, "m": bad,
                                              "cum_rank": cum_rank[o + bad],
                                              "cum_crank": cum_crank[o + bad],
                                              "cum_rank_next": cum_rank[o + bad + 1]})
-        bad = next((m for m in range(0, n + 3)
-                    if not cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m]), None)
+        bad = None if (all(map(le, cum_rank[o - 1:-2], cum_crank[o:-1]))
+                       and all(map(le, cum_crank[o:-1], cum_rank[o:-1]))) else next(
+            m for m in range(0, n + 3)
+            if not cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m])
         rec.expect("cum-chain-nonnegative-m", bad is None,
                    None if bad is None else {"n": n, "m": bad,
                                              "cum_rank_prev": cum_rank[o + bad - 1],

@@ -1,11 +1,13 @@
-"""Mutants of the injection, tau, identities and bounds suites: every
-check must be able to fail.
+"""Mutants of the injection, tau, identities, bounds and genfun suites:
+every check must be able to fail.
 
 Each map-suite row patches a map, a statistic or a table read with a
 stateless stand-in; each table-suite row corrupts cells of a fresh
 `build(8)` and restores its prefix sums, so it reaches the suites
-through whatever read path they take.  A row runs one suite at a small
-size and pins the exact failing check ids with their first witnesses.
+through whatever read path they take; each genfun row shifts one
+coefficient of `euler_inverse` or `ospt_numerator`, or corrupts one
+`build(8)` cell.  A row runs one suite at a small size and pins the
+exact failing check ids with their first witnesses.
 A change to a suite's loop must keep every row passing unchanged, and
 a row is added for any check that no row makes fail yet.
 """
@@ -15,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from rankcrank import injections, reordering, tables
+from rankcrank import injections, qseries, reordering, tables
 from rankcrank.injections import SymbolClass, verify_injections
 from rankcrank.reordering import verify_reordering
 from rankcrank.symbols import MDurfeeSymbol, to_symbol
@@ -26,6 +28,8 @@ real_inj_rank = injections.rank
 real_enumerate = reordering.enumerate_partitions
 real_rank = reordering.rank
 real_crank = reordering.crank
+real_euler_inverse = qseries.euler_inverse
+real_ospt_numerator = qseries.ospt_numerator
 
 
 def identity(symbol):
@@ -47,6 +51,15 @@ def classify_j0_as_q2(symbol, side):
     # a rectangle-free Q1 symbol read as Q2; no map's own input has j = 0
     cls = real_classify(symbol, side)
     return SymbolClass.Q2 if cls is SymbolClass.Q1 and symbol.j == 0 else cls
+
+
+def coefficient_shifted(series, n, delta):
+    """`series` (a function of the order) with coefficient n moved by `delta`."""
+    def shifted(order):
+        out = series(order)
+        out.coeffs[n] += delta
+        return out
+    return shifted
 
 
 def listing_without_third_at_5(n):
@@ -283,6 +296,33 @@ BOUNDS_MUTANTS = [
         "ospt-at-most-half-crank-zero-gap": {"n": 4, "ospt": 2, "p": 5, "M0": 2}}),
 ]
 
+GENFUN_MUTANTS = [
+    Mutant("euler_inverse coefficient 5 one high", qseries,
+           {"euler_inverse": coefficient_shifted(real_euler_inverse, 5, 1)},
+           {"euler-inverse-counts-partitions": {"n": 5, "coefficient": 8, "p": 7},
+            "ospt-series-matches-moments": {"n": 6, "coefficient": 5, "moments": 4},
+            "ospt-series-matches-tau": {"n": 6, "coefficient": 5, "tau": 4}}),
+    Mutant("ospt_numerator coefficient 3 one high", qseries,
+           {"ospt_numerator": coefficient_shifted(real_ospt_numerator, 3, 1)},
+           {"ospt-series-matches-moments": {"n": 3, "coefficient": 2, "moments": 1},
+            "ospt-series-matches-tau": {"n": 3, "coefficient": 2, "tau": 1}}),
+    # n = 9 lies past the table (nmax 8) and within the tau range (10)
+    Mutant("ospt_numerator coefficient 9 one high", qseries,
+           {"ospt_numerator": coefficient_shifted(real_ospt_numerator, 9, 1)},
+           {"ospt-series-matches-tau": {"n": 9, "coefficient": 11, "tau": 10}}),
+    # ospt(12) = 24 lowered to 0: positivity is strict
+    Mutant("ospt_numerator coefficient 12 down 24", qseries,
+           {"ospt_numerator": coefficient_shifted(real_ospt_numerator, 12, -24)},
+           {"ospt-series-positive": {"n": 12, "coefficient": 0}}),
+    Mutant("crank M(1, 6) one high", qseries, {},
+           {"ospt-series-matches-moments": {"n": 6, "coefficient": 4, "moments": 5}},
+           lambda table: corrupted((("crank", 1, 6, 1),))),
+]
+
+
+def genfun_at_20(table):
+    return qseries.verify_genfun(20, table, tau_limit=10)
+
 
 def _table_failures(report):
     return {c.id: c.witness for c in report.checks if c.status == "fail"}
@@ -298,9 +338,16 @@ def test_bounds_mutant(mutant):
     assert _table_failures(tables.verify_bounds(corrupted(mutant.cells))) == mutant.failures
 
 
+@pytest.mark.parametrize("mutant", GENFUN_MUTANTS, ids=lambda mutant: mutant.name)
+def test_genfun_mutant(monkeypatch, mutant):
+    run = lambda: genfun_at_20(mutant.table(tables.build(8)))
+    assert _failures(monkeypatch, mutant, run) == mutant.failures
+
+
 def test_every_table_check_fails_under_some_mutant():
     table = tables.build(8)
     for suite, mutants in ((tables.verify_identities, IDENTITY_MUTANTS),
-                           (tables.verify_bounds, BOUNDS_MUTANTS)):
+                           (tables.verify_bounds, BOUNDS_MUTANTS),
+                           (genfun_at_20, GENFUN_MUTANTS)):
         ids = {c.id for c in suite(table).checks}
         assert ids == {check for mutant in mutants for check in mutant.failures}

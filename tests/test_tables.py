@@ -2,7 +2,7 @@ from itertools import accumulate
 
 import pytest
 
-from rankcrank import tables
+from rankcrank import partitions, tables
 from rankcrank.partitions import enumerate_partitions, partition_count
 from rankcrank.statistics import crank, rank, rank_set_contains, smallest_part_count
 
@@ -58,17 +58,47 @@ def test_q_rows_small():
 
 
 def test_build_matches_direct_tally():
-    t = tables.build(20)
-    for n in range(1, 21):
-        partitions = list(enumerate_partitions(n))
-        for m in range(-n, n + 1):
-            assert t.rank_count(m, n) == sum(rank(p) == m for p in partitions), (m, n)
-            expected = (tables.WEIGHT_ONE_CRANK_ROW[m] if n == 1
-                        else sum(crank(p) == m for p in partitions))
-            assert t.crank_count(m, n) == expected, (m, n)
-        for m in range(-n - 2, n + 3):
-            assert t.q_count(m, n) == sum(rank_set_contains(p, m) for p in partitions), (m, n)
-        assert t.spt_tally(n) == sum(smallest_part_count(p) for p in partitions), n
+    # Row n of build(n) and of build(30) against one pass over the
+    # partitions of n, for every n <= 30.  Every case of the walk's
+    # successor occurs by weight 12: w = 2, w = 3 (no successor), the step
+    # back on an odd budget ((5, 3, 2, 2) -> (4, 4, 4) and (3, 3, 2) ->
+    # (2, 2, 2, 2)), the remainder-1 refill and v = 3 ending in (2, 2).
+    t30 = tables.build(30)
+    for n in range(1, 31):
+        ranks, cranks, points = [0] * (2 * n + 1), [0] * (2 * n + 1), [0] * (2 * n + 3)
+        tails = [0] * (n + 3)  # tails[L]: partitions of length L
+        spt = 0
+        for lam in enumerate_partitions(n):
+            ranks[rank(lam) + n] += 1
+            cranks[crank(lam) + n] += 1
+            spt += smallest_part_count(lam)
+            # the rank-set: the points k - lam_k (k < L, all below L) and every m >= L
+            for k, v in enumerate(lam):
+                points[k - v + n] += 1
+            tails[len(lam)] += 1
+        q_row = [a + b for a, b in zip(points, [0] * n + list(accumulate(tails)))]
+        if n == 1:
+            cranks = [tables.WEIGHT_ONE_CRANK_ROW[m] for m in (-1, 0, 1)]
+        for t in (tables.build(n), t30):
+            assert t.rank_row(n) == ranks, n
+            assert t.crank_row(n) == cranks, n
+            assert t._q[n] == q_row, n
+            assert t.spt_tally(n) == spt, n
+
+
+def test_build_lists_no_partitions_and_reads_no_series(monkeypatch, table30):
+    # the oracle walks its own partitions and stays apart from the series backend
+    def refuse(*args):
+        raise AssertionError("build called a partition lister or the series backend")
+
+    assert "enumerate_partitions" not in vars(tables)
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
+    monkeypatch.setattr(partitions, "partition_count_series", refuse)
+    monkeypatch.setattr(tables, "partition_count_series", refuse)
+    monkeypatch.setattr(tables, "_rows_from_series", refuse)
+    t = tables.build(30)
+    assert (t._rank, t._crank, t._q, t._spt) == \
+        (table30._rank, table30._crank, table30._q, table30._spt)
 
 
 def test_rows_do_not_depend_on_nmax():
