@@ -273,7 +273,7 @@ def cmd_tau(args) -> int:
             sys.stdout.write(
                 f"{'+'.join(map(str, lam))},{c},{'+'.join(map(str, mu))},{r},{d}\n")
     else:
-        left = max(len(_parts_text(lam)) for lam, *_ in rows)
+        left = max(len("partition"), *(len(_parts_text(lam)) for lam, *_ in rows))
         mid = max(len(_parts_text(mu)) for _, _, mu, _, _ in rows)
         sys.stdout.write(
             f"{'partition':>{left}}  {'crank':>5}  {'image':>{mid}}  {'rank':>4}  {'diff':>4}\n")

@@ -6,10 +6,14 @@
 * M(m, n): partitions of n with crank m, and
 * q(m, n): partitions of n whose rank-set contains m,
 
-densely over |m| <= n (the q row over -n <= m <= n + 2), each cell m
-of weight n at index m + n, with prefix sums so cumulative queries
-cost O(1).  All entries are Python ints, so counts and moments are
-exact at any size: arithmetic cannot overflow or wrap, it just grows.
+densely over |m| <= n (the q row over -n <= m <= n + 2).  The rows
+are all a table stores: each is padded with three zeros on either
+side (the q row below only), so cell m of weight n sits at index
+m + n + 3, and a read clamps m's index to the row's ends, where the
+row is constant (0, or p(n) at the top of a q row).  Cumulations are
+sums over a slice of the row.  All entries are Python ints, so counts
+and moments are exact at any size: arithmetic cannot overflow or
+wrap, it just grows.
 
 Readers that want a whole weight take it whole: `rank_row` and
 `crank_row` copy a stored row, `verify_identities` reads each weight's
@@ -70,9 +74,13 @@ WEIGHT_ONE_CRANK_ROW = {-1: 1, 0: -1, 1: 1}
 class StatTable:
     """Dense exact tables of N(m, n), M(m, n), and q(m, n) for n <= nmax.
 
-    Cell accessors answer one (m, n), out-of-range m included; the row
-    reads and the moments work on a whole stored row of weight n at a
-    time.  Every reader raises ValueError for n outside 1..nmax.
+    The stored rows are the whole state.  Each weight's rank and crank
+    rows carry three zeros on each side and its q row three zeros below,
+    so cell m of weight n sits at index m + n + 3 of every row.  One read
+    checks n and clamps m's index to the row's own ends: beyond its band
+    a row is constant, 0 for rank and crank, and for q 0 below -n and
+    q(n + 2, n) = p(n) above.  Every reader takes its row through it, so
+    every reader raises ValueError for n outside 1..nmax.
     """
 
     def __init__(self, nmax, rank_rows, crank_rows, q_rows, spt_tallies, provenance):
@@ -80,34 +88,30 @@ class StatTable:
             raise ValueError("nmax must be >= 1")
         self.nmax = nmax
         self.provenance = provenance  # "enumerated" or "accelerated"
-        self._rank = rank_rows    # _rank[n]: list of 2n+1 counts, index m + n
-        self._crank = crank_rows  # same layout
-        self._q = q_rows          # _q[n]: 2n+3 counts for -n <= m <= n + 2, index m + n
-        self._spt = spt_tallies   # _spt[n]: smallest-part tally, or None
-        self._rank_prefix = [None] + [list(accumulate(rank_rows[n])) for n in range(1, nmax + 1)]
-        self._crank_prefix = [None] + [list(accumulate(crank_rows[n])) for n in range(1, nmax + 1)]
+        pad = [0, 0, 0]
+        self._rank = [None] + [pad + row + pad for row in rank_rows[1:]]  # 2n + 7 cells
+        self._crank = [None] + [pad + row + pad for row in crank_rows[1:]]
+        self._q = [None] + [pad + row for row in q_rows[1:]]  # 2n + 6 cells, to m = n + 2
+        self._spt = spt_tallies  # _spt[n]: smallest-part tally, or None
 
-    def _bad_n(self, n: int) -> ValueError:
-        # each reader tests 1 <= n <= nmax inline and raises this outside it
-        return ValueError(f"n must be in 1..{self.nmax}, got {n}")
+    def _read(self, rows: list, n: int, m: int = 0) -> tuple:
+        """Row n of `rows` and the index of cell m in it, clamped to the row."""
+        if not 1 <= n <= self.nmax:
+            raise ValueError(f"n must be in 1..{self.nmax}, got {n}")
+        row = rows[n]
+        return row, min(max(m + n + 3, 0), len(row) - 1)
 
     # -- cell accessors ------------------------------------------------
 
     def rank_count(self, m: int, n: int) -> int:
         """N(m, n); zero outside |m| <= n."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if abs(m) > n:
-            return 0
-        return self._rank[n][m + n]
+        row, i = self._read(self._rank, n, m)
+        return row[i]
 
     def crank_count(self, m: int, n: int) -> int:
         """M(m, n); zero outside |m| <= n."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if abs(m) > n:
-            return 0
-        return self._crank[n][m + n]
+        row, i = self._read(self._crank, n, m)
+        return row[i]
 
     def q_count(self, m: int, n: int) -> int:
         """q(m, n), the number of partitions of n whose rank-set contains m.
@@ -115,37 +119,18 @@ class StatTable:
         Zero below -n; the total count for m >= n (every rank-set
         contains all integers from its partition's length upward).
         """
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if m < -n:
-            return 0
-        if m > n + 2:
-            return self._rank_prefix[n][-1]
-        return self._q[n][m + n]
-
-    def rank_total(self, n: int) -> int:
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return self._rank_prefix[n][-1]
-
-    def crank_total(self, n: int) -> int:
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return self._crank_prefix[n][-1]
+        row, i = self._read(self._q, n, m)
+        return row[i]
 
     # -- whole-weight reads -----------------------------------------------
 
     def rank_row(self, n: int) -> list:
         """[N(-n, n), ..., N(n, n)], a new list with N(m, n) at index m + n."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return self._rank[n][:]
+        return self._read(self._rank, n)[0][3:-3]
 
     def crank_row(self, n: int) -> list:
         """[M(-n, n), ..., M(n, n)], a new list with M(m, n) at index m + n."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return self._crank[n][:]
+        return self._read(self._crank, n)[0][3:-3]
 
     def _padded_reads(self, n: int) -> tuple:
         """The lists rank, crank, cum_rank, cum_crank, q and p_ge of weight n
@@ -155,48 +140,27 @@ class StatTable:
         `cum_rank`, `cum_crank`, `q_count` and `p_ge` return, out-of-range
         values included, read from the stored rows with no call per cell.
         """
-        rank_prefix, crank_prefix = self._rank_prefix[n], self._crank_prefix[n]
-        total = rank_prefix[-1]
-        return (
-            [0, 0, 0] + self.rank_row(n) + [0, 0, 0],
-            [0, 0, 0] + self.crank_row(n) + [0, 0, 0],
-            [0, 0, 0] + rank_prefix + [total] * 3,
-            [0, 0, 0] + crank_prefix + [crank_prefix[-1]] * 3,
-            [0, 0, 0] + self._q[n] + [total],
-            [total] * 4 + list(map(sub, repeat(total), rank_prefix[:-1])) + [0, 0, 0],
-        )
+        rank, crank, q = self._read(self._rank, n)[0], self._crank[n], self._q[n]
+        cum_rank = list(accumulate(rank))
+        return (rank, crank, cum_rank, list(accumulate(crank)), q + q[-1:],
+                list(map(sub, repeat(cum_rank[-1]), [0] + cum_rank[:-1])))
 
     # -- cumulative queries ---------------------------------------------
 
     def cum_rank(self, m: int, n: int) -> int:
         """N(<= m, n) = sum of N(r, n) over r <= m."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if m < -n:
-            return 0
-        if m >= n:
-            return self._rank_prefix[n][-1]
-        return self._rank_prefix[n][m + n]
+        row, i = self._read(self._rank, n, m)
+        return sum(row[:i + 1])
 
     def cum_crank(self, m: int, n: int) -> int:
         """M(<= m, n) = sum of M(r, n) over r <= m."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if m < -n:
-            return 0
-        if m >= n:
-            return self._crank_prefix[n][-1]
-        return self._crank_prefix[n][m + n]
+        row, i = self._read(self._crank, n, m)
+        return sum(row[:i + 1])
 
     def p_ge(self, m: int, n: int) -> int:
         """Number of partitions of n with rank >= m."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        if m <= -n:
-            return self._rank_prefix[n][-1]
-        if m > n:
-            return 0
-        return self._rank_prefix[n][-1] - self._rank_prefix[n][m - 1 + n]
+        row, i = self._read(self._rank, n, m)
+        return sum(row[i:])
 
     # -- moments ----------------------------------------------------------
 
@@ -205,21 +169,18 @@ class StatTable:
 
     def moment_rank(self, k: int, n: int) -> int:
         """N_k(n) = sum over m of m^k N(m, n), exactly."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return sum(map(mul, map(pow, range(-n, n + 1), repeat(k)), self._rank[n]))
+        row = self._read(self._rank, n)[0]
+        return sum(map(mul, map(pow, range(-n - 3, n + 4), repeat(k)), row))
 
     def moment_crank(self, k: int, n: int) -> int:
         """M_k(n) = sum over m of m^k M(m, n), exactly."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return sum(map(mul, map(pow, range(-n, n + 1), repeat(k)), self._crank[n]))
+        row = self._read(self._crank, n)[0]
+        return sum(map(mul, map(pow, range(-n - 3, n + 4), repeat(k)), row))
 
     def abs_crank_moment(self, n: int) -> int:
         """Sum over m of |m| M(m, n): the total absolute crank."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return sum(map(mul, map(abs, range(-n, n + 1)), self._crank[n]))
+        row = self._read(self._crank, n)[0]
+        return sum(map(mul, map(abs, range(-n - 3, n + 4)), row))
 
     def spt(self, n: int) -> int:
         """spt(n) through the moment identity n p(n) - N_2(n)/2."""
@@ -240,8 +201,7 @@ class StatTable:
 
     def spt_tally(self, n: int) -> int:
         """spt(n) as tallied during enumeration (enumerated tables only)."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
+        self._read(self._rank, n)  # checks n
         if self._spt is None:
             raise ValueError(f"{self.provenance!r} table carries no smallest-part tally")
         return self._spt[n]
@@ -252,10 +212,8 @@ class StatTable:
 
     def ospt_moments(self, n: int) -> int:
         """ospt(n) = sum over m >= 1 of m (M(m, n) - N(m, n))."""
-        if not 1 <= n <= self.nmax:
-            raise self._bad_n(n)
-        return sum(map(mul, range(1, n + 1),
-                       map(sub, self._crank[n][n + 1:], self._rank[n][n + 1:])))
+        crank = self._read(self._crank, n)[0]
+        return sum(map(mul, range(1, n + 1), map(sub, crank[n + 4:], self._rank[n][n + 4:])))
 
 
 def build(nmax: int) -> StatTable:

@@ -198,6 +198,19 @@ def test_tau_csv_weight_4(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_tau_text_columns_align_with_header(capsys, n):
+    # every partition text at these weights is narrower than "partition";
+    # the columns are right-aligned, so each field ends where its header does
+    code, out, _ = run(capsys, "tau", "--n", n)
+    assert code == 0
+    header, *lines = out.splitlines()
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    assert len(ends) == 5 and len(lines) == partitions.partition_count(int(n))
+    for line in lines:
+        assert [m.end() for m in re.finditer(r"\S+", line)] == ends, line
+
+
 def test_tau_json_tie_break(capsys):
     code, out, _ = run(capsys, "tau", "--n", "5", "--format", "json",
                        "--seed-order", "lex-ascending")

@@ -3,8 +3,8 @@ every check must be able to fail.
 
 Each map-suite row patches a map, a statistic or a table read with a
 stateless stand-in; each table-suite row corrupts cells of a fresh
-`build(8)` and restores its prefix sums, so it reaches the suites
-through whatever read path they take; each genfun row shifts one
+`build(8)`, whose stored rows are its whole state, so it reaches the
+suites through whatever read path they take; each genfun row shifts one
 coefficient of `euler_inverse` or `ospt_numerator`, or corrupts one
 `build(8)` cell.  A row runs one suite at a small size and pins the
 exact failing check ids with their first witnesses.
@@ -12,7 +12,6 @@ A change to a suite's loop must keep every row passing unchanged, and
 a row is added for any check that no row makes fail yet.
 """
 
-from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import pytest
@@ -218,15 +217,18 @@ class CellMutant(NamedTuple):
 
 
 def corrupted(cells):
-    """A fresh `build(8)` with `cells` shifted and its prefix sums restored."""
+    """A fresh `build(8)` with `cells` shifted in its stored rows.
+
+    Cell m of weight n sits at index m + n + 3 of the padded row; every
+    read, cumulations included, is taken from the rows, so nothing else
+    needs restoring.
+    """
     table = tables.build(8)
     for row, m, n, delta in cells:
         if row == "spt":
             table._spt[n] += delta
         else:
-            getattr(table, f"_{row}")[n][m + n] += delta
-    table._rank_prefix = [None] + [list(accumulate(r)) for r in table._rank[1:]]
-    table._crank_prefix = [None] + [list(accumulate(r)) for r in table._crank[1:]]
+            getattr(table, f"_{row}")[n][m + n + 3] += delta
     return table
 
 

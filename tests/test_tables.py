@@ -39,22 +39,35 @@ def test_crank_rows_small():
 
 
 def test_row_sums_and_out_of_band():
-    t = tables.build(6)
-    for n in range(1, 7):
-        p = partition_count(n)
-        assert t.rank_total(n) == p
-        assert t.crank_total(n) == p
-    assert t.rank_count(7, 6) == 0
-    assert t.crank_count(-9, 6) == 0
+    for t in (tables.build(6), tables.build_accelerated(6)):
+        for n in range(1, 7):
+            p = partition_count(n)
+            assert t.cum_rank(n, n) == p
+            assert t.cum_crank(n, n) == p
+            for m in (-10**6, 10**6):
+                assert t.rank_count(m, n) == t.crank_count(m, n) == 0, (m, n)
+        assert t.rank_count(7, 6) == 0
+        assert t.crank_count(-9, 6) == 0
+        # the row reads return new lists: mutating one changes no later read
+        for read, cell in ((t.rank_row, t.rank_count), (t.crank_row, t.crank_count)):
+            row = read(5)
+            before = [cell(m, 5) for m in range(-5, 6)]
+            assert row == before
+            row[:] = [99] * len(row)
+            assert read(5) == before == [cell(m, 5) for m in range(-5, 6)]
+        assert t.cum_rank(5, 5) == t.cum_crank(5, 5) == t.moment_crank(0, 5) == 7
 
 
 def test_q_rows_small():
-    t = tables.build(4)
-    assert [t.q_count(m, 4) for m in range(-6, 7)] == \
-        [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5]
-    # clamped outside the stored band
-    assert t.q_count(-7, 4) == 0
-    assert t.q_count(7, 4) == 5
+    for t in (tables.build(4), tables.build_accelerated(4)):
+        assert [t.q_count(m, 4) for m in range(-6, 7)] == \
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 5]
+        # clamped outside the stored band
+        assert t.q_count(-7, 4) == 0
+        assert t.q_count(7, 4) == 5
+        for n in range(1, 5):
+            assert t.q_count(-10**6, n) == 0, n
+            assert t.q_count(10**6, n) == partition_count(n), n
 
 
 def test_build_matches_direct_tally():
@@ -82,7 +95,7 @@ def test_build_matches_direct_tally():
         for t in (tables.build(n), t30):
             assert t.rank_row(n) == ranks, n
             assert t.crank_row(n) == cranks, n
-            assert t._q[n] == q_row, n
+            assert [t.q_count(m, n) for m in range(-n, n + 3)] == q_row, n
             assert t.spt_tally(n) == spt, n
 
 
@@ -119,17 +132,21 @@ def test_q_against_direct_count():
 
 
 def test_cumulative_and_tail():
-    t = tables.build(6)
-    assert t.cum_rank(-7, 4) == 0
-    assert t.cum_rank(4, 4) == 5
-    assert t.p_ge(-5, 4) == 5
-    assert t.p_ge(0, 4) == 3
-    assert t.p_ge(5, 4) == 0
-    for n in range(1, 7):
-        for m in range(-n - 1, n + 2):
-            assert t.cum_rank(m, n) + t.p_ge(m + 1, n) == partition_count(n)
-            assert t.cum_rank(m, n) == sum(t.rank_count(i, n) for i in range(-n, m + 1))
-            assert t.cum_crank(m, n) == sum(t.crank_count(i, n) for i in range(-n, m + 1))
+    for t in (tables.build(6), tables.build_accelerated(6)):
+        assert t.cum_rank(-7, 4) == 0
+        assert t.cum_rank(4, 4) == 5
+        assert t.p_ge(-5, 4) == 5
+        assert t.p_ge(0, 4) == 3
+        assert t.p_ge(5, 4) == 0
+        for n in range(1, 7):
+            p = partition_count(n)
+            for m in range(-n - 1, n + 2):
+                assert t.cum_rank(m, n) + t.p_ge(m + 1, n) == p
+                assert t.cum_rank(m, n) == sum(t.rank_count(i, n) for i in range(-n, m + 1))
+                assert t.cum_crank(m, n) == sum(t.crank_count(i, n) for i in range(-n, m + 1))
+            # far past the band the cumulations and the tail sit at 0 or p(n)
+            assert (t.cum_rank(-10**6, n), t.cum_crank(-10**6, n), t.p_ge(10**6, n)) == (0, 0, 0)
+            assert (t.cum_rank(10**6, n), t.cum_crank(10**6, n), t.p_ge(-10**6, n)) == (p, p, p)
 
 
 def test_moments():
@@ -169,6 +186,23 @@ def test_bounds_on_n():
         t.spt(0)
     with pytest.raises(ValueError):
         tables.build(0)
+
+
+CELL_READS = ("rank_count", "crank_count", "q_count", "cum_rank", "cum_crank", "p_ge")
+WEIGHT_READS = ("rank_row", "crank_row", "abs_crank_moment", "spt", "spt_tally", "ospt_moments")
+
+
+@pytest.mark.parametrize("build_table", [tables.build, tables.build_accelerated])
+@pytest.mark.parametrize("n", [0, -1, 9])
+def test_every_reader_rejects_n_outside_range(build_table, n):
+    # n = -1 would read the top weight's row if a reader indexed before checking
+    t = build_table(8)
+    reads = [lambda name=name: getattr(t, name)(0, n) for name in CELL_READS]
+    reads += [lambda name=name: getattr(t, name)(n) for name in WEIGHT_READS]
+    reads += [lambda: t.moment_rank(2, n), lambda: t.moment_crank(2, n)]
+    for read in reads:
+        with pytest.raises(ValueError, match="n must be in 1..8"):
+            read()
 
 
 def test_build_accelerated_matches_enumeration():
@@ -263,7 +297,7 @@ def test_verify_bounds_suite(table30):
 def test_failure_reporting_is_witnessed():
     # corrupt one cell and make sure the suite pinpoints it
     t = tables.build(6)
-    t._rank[4][4 + 2] += 1
+    t._rank[4][2 + 4 + 3] += 1  # N(2, 4), at index m + n + 3
     rep = tables.verify_identities(t)
     assert not rep.ok
     bad = [c for c in rep.checks if c.status == "fail"]
@@ -314,10 +348,9 @@ def test_verify_identities_witnesses_at_range_ends(row, m, failures):
     t = tables.build(6)
     n = 6
     if row == "q":
-        t._q[n][m + n] += 1
+        t._q[n][m + n + 3] += 1
     else:
-        t._rank[n][m + n] += 1
-        t._rank_prefix[n] = list(accumulate(t._rank[n]))
+        t._rank[n][m + n + 3] += 1
     rep = tables.verify_identities(t)
     assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == failures
 
@@ -327,8 +360,7 @@ def test_odd_spt_numerator_fails_spt_checks_without_raising():
     # 2n p(n) - N_2(n) = 43 is odd: every check reading spt(6) fails with
     # that value, and neither suite raises
     t = tables.build(6)
-    t._rank[6][3 + 6] += 1
-    t._rank_prefix[6] = list(accumulate(t._rank[6]))
+    t._rank[6][3 + 6 + 3] += 1
     odd = {"n": 6, "2np-N2": 43}
     with pytest.raises(ArithmeticError):
         t.spt(6)
@@ -386,6 +418,6 @@ def test_moments_match_per_cell_definitions(table60, accel100):
     assert_moments_match_definitions(accel100, range(1, 61))
     # negative cells, as a corrupt row may hold, count with their sign
     t = tables.build(8)
-    t._rank[7][7 + 3] = -4
-    t._crank[7][7 - 5] = -9
+    t._rank[7][3 + 7 + 3] = -4
+    t._crank[7][-5 + 7 + 3] = -9
     assert_moments_match_definitions(t, [7])
