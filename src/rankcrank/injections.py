@@ -64,27 +64,31 @@ def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
     """Place a symbol in P1/P2/P3 or Q1/Q2/Q3, or None if not in the family.
 
     side "P" requires membership in P(-m+1, n) (rank >= -m + 1);
-    side "Q" requires membership in Q(m, n) (m in the rank-set).
+    side "Q" requires membership in Q(m, n) (m in the rank-set).  The
+    membership tests are `rank_at_least` and `rank_set_has_m`, read
+    here from the unpacked fields.
     """
-    j = symbol.j
+    m, j, alpha, beta = symbol
     if side == "P":
-        if not rank_at_least(symbol):
-            return None
         if j == 0:
             return _P1
-        b1 = symbol.beta[0] if symbol.beta else 0
+        if len(beta) >= len(alpha):
+            return None
+        b1 = beta[0] if beta else 0
         if b1 == j:
             return _P1
         if b1 == j - 1:
             return _P2
         return _P3
     if side == "Q":
-        if not rank_set_has_m(symbol):
-            return None
-        if j == 0 or len(symbol.beta) - len(symbol.alpha) <= -1:
+        if j == 0:
             return _Q1
-        g1 = symbol.alpha[0] if symbol.alpha else 0
-        if g1 < symbol.m + j:
+        if not beta or beta[0] != j:
+            return None
+        if len(beta) < len(alpha):
+            return _Q1
+        g1 = alpha[0] if alpha else 0
+        if g1 < m + j:
             return _Q2
         return _Q3
     raise ValueError(f"side must be 'P' or 'Q', got {side!r}")

@@ -25,6 +25,7 @@ listing behind it, so tau is undefined there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .partitions import Partition, enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
@@ -165,8 +166,10 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     tie-breaks should sort the same statistic values into the same
     ascending lists, so the statistics scan is reused for the second
     tie-break when its crank and rank lists equal the first's, and runs
-    again when they differ.  The cumulative counts and moments come from
-    `table`, which must cover n <= nmax.
+    again when they differ.  The cumulative counts are running sums of
+    each weight's crank and rank rows of `table`, and the positive-rank
+    sum and ospt are read from its cells and moments; `table` must cover
+    n <= nmax.
     """
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
@@ -179,9 +182,10 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         # the listing must hold each of the p(n) partitions exactly once
         listed, distinct, pn = len(partitions), len(set(partitions)), partition_count(n)
         positions = list(range(pn))
-        # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n
-        cum_crank = [table.cum_crank(a, n) for a in range(-n - 1, n + 1)]
-        cum_rank = [table.cum_rank(a, n) for a in range(-n - 1, n + 1)]
+        # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n,
+        # each from one whole-row read
+        cum_crank = [0, *accumulate(table.crank_row(n))]
+        cum_rank = [0, *accumulate(table.rank_row(n))]
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
         ospt_moments = table.ospt_moments(n)
         ospt_values = set()

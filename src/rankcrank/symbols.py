@@ -16,6 +16,11 @@ serialized here as ``[4,3,3,2 | 3,2,2,2]_(5x3)``.  The weight satisfies
 n = j(m+j) + sum(alpha) + sum(beta), and the correspondence with
 partitions is a bijection once m is fixed.
 
+A symbol is a validated tuple (m, j, alpha, beta): its constructor
+checks the invariants `MDurfeeSymbol` lists, and its hashing,
+equality and field reads are the tuple's own, run at C level, so a
+symbol compares equal to the plain tuple of its fields.
+
 Two predicates make the symbol useful.  With j >= 1:
 
 * rank(lambda) = -m + (len(alpha) - len(beta)), so
@@ -29,40 +34,41 @@ Both equivalences are verified exhaustively in the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from collections.abc import Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .partitions import Partition, _weakly_decreasing_positive, conjugate
 
 
-@dataclass(frozen=True)
-class MDurfeeSymbol:
+class MDurfeeSymbol(namedtuple("MDurfeeSymbol", "m j alpha beta")):
     """An m-Durfee rectangle symbol (alpha | beta) with rectangle (m+j) x j.
 
-    Invariants enforced on construction: m >= 0, j >= 0, alpha weakly
-    decreasing positive with entries <= m + j, beta weakly decreasing
-    positive with entries <= j (so j = 0 forces beta empty).  alpha and
-    beta may be given as any iterables of ints; they are stored as tuples.
+    A validated, immutable tuple (m, j, alpha, beta).  Invariants
+    enforced on construction: m >= 0, j >= 0, alpha weakly decreasing
+    positive with entries <= m + j, beta weakly decreasing positive
+    with entries <= j (so j = 0 forces beta empty).  alpha and beta may
+    be given as any iterables of ints; they are stored as tuples.
+
+    Hashing, equality and field reads are the tuple's own, so a symbol
+    compares equal to the plain tuple (m, j, alpha, beta).  The
+    inherited `_make` and `_replace` are private and skip validation.
     """
 
-    m: int
-    j: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
-        if not isinstance(self.j, int) or self.j < 0:
-            raise ValueError(f"j must be a non-negative integer, got {self.j!r}")
-        object.__setattr__(self, "alpha", _weakly_decreasing_positive(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _weakly_decreasing_positive(self.beta, "beta"))
-        if self.alpha and self.alpha[0] > self.m + self.j:
-            raise ValueError(
-                f"alpha entries must be <= m + j = {self.m + self.j}, got {self.alpha}"
-            )
-        if self.beta and self.beta[0] > self.j:
-            raise ValueError(f"beta entries must be <= j = {self.j}, got {self.beta}")
+    def __new__(cls, m: int, j: int, alpha: Iterable[int],
+                beta: Iterable[int]) -> MDurfeeSymbol:
+        if not isinstance(m, int) or m < 0:
+            raise ValueError(f"m must be a non-negative integer, got {m!r}")
+        if not isinstance(j, int) or j < 0:
+            raise ValueError(f"j must be a non-negative integer, got {j!r}")
+        alpha = _weakly_decreasing_positive(alpha, "alpha")
+        beta = _weakly_decreasing_positive(beta, "beta")
+        if alpha and alpha[0] > m + j:
+            raise ValueError(f"alpha entries must be <= m + j = {m + j}, got {alpha}")
+        if beta and beta[0] > j:
+            raise ValueError(f"beta entries must be <= j = {j}, got {beta}")
+        return tuple.__new__(cls, (m, j, alpha, beta))
 
     @property
     def rows(self) -> int:
@@ -111,13 +117,9 @@ def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurf
         j = 1
         while m + j + 1 <= length and partition[m + j] >= j + 1:
             j += 1
-    # The plain tuples below meet every invariant, so the fields are filled
+    # The plain tuples below meet every invariant, so the symbol is built
     # without re-validating them (slices of tuples are plain tuples).
-    symbol = object.__new__(MDurfeeSymbol)
-    fields = symbol.__dict__
-    fields["m"], fields["j"] = m, j
-    fields["alpha"], fields["beta"] = columns[j:], tuple(partition[m + j:])
-    return symbol
+    return tuple.__new__(MDurfeeSymbol, (m, j, columns[j:], tuple(partition[m + j:])))
 
 
 def from_symbol(symbol: MDurfeeSymbol) -> Partition:

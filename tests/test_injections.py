@@ -213,3 +213,44 @@ def test_verify_injections_classifies_once_per_side(monkeypatch, table30):
     monkeypatch.setattr(injections, "classify", counted)
     assert verify_injections(3, 14, table=table30).ok
     assert calls <= 2 * symbols + 3 * mapped
+
+
+def classify_with_predicates(symbol, side):
+    # classify as written before it inlined the membership tests: the
+    # symbol predicates first, then the class split
+    j = symbol.j
+    if side == "P":
+        if not rank_at_least(symbol):
+            return None
+        if j == 0:
+            return SymbolClass.P1
+        b1 = symbol.beta[0] if symbol.beta else 0
+        if b1 == j:
+            return SymbolClass.P1
+        if b1 == j - 1:
+            return SymbolClass.P2
+        return SymbolClass.P3
+    if not rank_set_has_m(symbol):
+        return None
+    if j == 0 or len(symbol.beta) - len(symbol.alpha) <= -1:
+        return SymbolClass.Q1
+    g1 = symbol.alpha[0] if symbol.alpha else 0
+    if g1 < symbol.m + j:
+        return SymbolClass.Q2
+    return SymbolClass.Q3
+
+
+def test_classify_agrees_with_the_symbol_predicates():
+    # classify tests family membership from the unpacked fields; it must
+    # agree with the predicates and with the predicate-based split
+    seen = set()
+    for n in range(0, 15):
+        for p in enumerate_partitions(n):
+            for m in range(0, 5):
+                s = to_symbol(p, m)
+                for side, member in (("P", rank_at_least), ("Q", rank_set_has_m)):
+                    cls = classify(s, side)
+                    assert (cls is not None) == member(s), (tuple(p), m, side)
+                    assert cls is classify_with_predicates(s, side), (tuple(p), m, side)
+                    seen.add(cls)
+    assert seen == set(SymbolClass) | {None}

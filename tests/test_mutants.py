@@ -81,6 +81,25 @@ class Shifted:
         return lambda *args: read(*args) + (args == self._at)
 
 
+class RowShifted:
+    """A table whose whole-row read `method(n)` holds cell m one higher at weight `at_n`."""
+
+    def __init__(self, table, method, at_n, m):
+        self._table, self._method, self._at_n, self._m = table, method, at_n, m
+
+    def __getattr__(self, name):
+        read = getattr(self._table, name)
+        if name != self._method:
+            return read
+
+        def shifted(n):
+            row = read(n)
+            if n == self._at_n:
+                row[self._m + n] += 1
+            return row
+        return shifted
+
+
 class Mutant(NamedTuple):
     name: str
     module: object
@@ -179,6 +198,11 @@ TAU_MUTANTS = [
            {"ospt-tau-matches-moments": {"n": 5, "tie_break": "lex-descending",
                                          "via_tau": 2, "via_moments": 3}},
            lambda table: Shifted(table, "ospt_moments", (5,))),
+    Mutant("table row M(0, 5) one high", reordering, {},
+           {"tau-position-in-cumulative-window": {"n": 5, "tie_break": "lex-descending",
+                                                  "position": 5, "partition": [2, 2, 1],
+                                                  "image": [3, 2]}},
+           lambda table: RowShifted(table, "crank_row", 5, 0)),
 ]
 
 

@@ -178,12 +178,20 @@ def test_verify_reordering_witnesses_pinned(monkeypatch, table30):
     monkeypatch.setattr(reordering, "case_condition_holds", real_case)
 
     class OffByOne:
-        # table30 with M(<= 1, 7) read one too high
+        # table30 with M(<= 1, 7) read one too high, through either read path
         def __getattr__(self, name):
             return getattr(table30, name)
 
         def cum_crank(self, m, n):
             return table30.cum_crank(m, n) + (m == 1 and n == 7)
+
+        def crank_row(self, n):
+            # M(1, 7) one high and M(2, 7) one low move M(<= a, 7) at a = 1 only
+            row = table30.crank_row(n)
+            if n == 7:
+                row[1 + n] += 1
+                row[2 + n] -= 1
+            return row
 
     rep = verify_reordering(8, table=OffByOne())
     assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == {

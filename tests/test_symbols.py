@@ -64,6 +64,46 @@ def test_symbol_validation():
         to_symbol(Partition([3, 1]), -2)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((1, 2, (4,), ()), "alpha entries must be <= m + j = 3, got (4,)"),
+    ((1, 2, (), (3,)), "beta entries must be <= j = 2, got (3,)"),
+    ((-1, 2, (), ()), "m must be a non-negative integer, got -1"),
+    ((1, -1, (), ()), "j must be a non-negative integer, got -1"),
+    (("1", 2, (), ()), "m must be a non-negative integer, got '1'"),
+    ((1, 2.0, (), ()), "j must be a non-negative integer, got 2.0"),
+    ((1, 0, (1,), (1,)), "beta entries must be <= j = 0, got (1,)"),
+    ((1, 2, (1, 2), ()), "alpha must be weakly decreasing, got (1, 2)"),
+    ((1, 2, (), (2, 0)), "beta must be positive integers, got 0"),
+    ((1, 2, (True,), ()), "alpha must be positive integers, got True"),
+    ((1, 2, [2, 1], [1.5]), "beta must be positive integers, got 1.5"),
+])
+def test_symbol_construction_errors_name_the_bad_field(fields, message):
+    with pytest.raises(ValueError) as info:
+        MDurfeeSymbol(*fields)
+    assert str(info.value) == message
+    m, j, alpha, beta = fields
+    with pytest.raises(ValueError) as info:
+        MDurfeeSymbol(m=m, j=j, alpha=alpha, beta=beta)
+    assert str(info.value) == message
+
+
+def test_symbol_repr_names_every_field():
+    s = MDurfeeSymbol(m=2, j=3, alpha=[4, 3, 3, 2], beta=(3, 2, 2, 2))
+    assert repr(s) == "MDurfeeSymbol(m=2, j=3, alpha=(4, 3, 3, 2), beta=(3, 2, 2, 2))"
+
+
+def test_symbol_is_an_immutable_tuple_of_its_fields():
+    s = MDurfeeSymbol(m=2, j=3, alpha=(4, 3, 3, 2), beta=(3, 2, 2, 2))
+    for field in ("m", "j", "alpha", "beta", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, getattr(s, field))
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert s == (2, 3, (4, 3, 3, 2), (3, 2, 2, 2))
+    assert hash(s) == hash((2, 3, (4, 3, 3, 2), (3, 2, 2, 2)))
+    assert tuple(s) == (s.m, s.j, s.alpha, s.beta)
+
+
 def test_to_symbol_equals_validated_symbol():
     # to_symbol skips re-validation; its symbols must be exactly the ones
     # the validating constructor accepts and builds from the same fields
@@ -72,6 +112,7 @@ def test_to_symbol_equals_validated_symbol():
             for m in range(0, 5):
                 s = to_symbol(p, m)
                 validated = MDurfeeSymbol(m, s.j, s.alpha, s.beta)
+                assert type(s) is type(validated) is MDurfeeSymbol, (tuple(p), m)
                 assert s == validated and hash(s) == hash(validated), (tuple(p), m)
                 assert type(s.alpha) is tuple and type(s.beta) is tuple
                 assert from_symbol(s) == p
