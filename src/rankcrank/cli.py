@@ -5,17 +5,10 @@ to stdout; narration goes to stderr.  Exit codes: 0 when everything
 asked for passed, 1 when a verification or comparison failed, 2 for
 usage errors (bad flags, out-of-range parameters).
 
-Desk-scale ranges all live in `RANGES`: tables through n = 60 on the
-enumeration backend and n = 100 on the arithmetic one (--backend
-accelerated, or --extended, which also makes 100 the default); the tau
-suite from 2 through 60 (default 40), the injection suite from 2
-through 40 (default 30); `tau --n` 2..60, `inject --n` 1..80 with
-m >= 0; `ospt --max-n` from 2 (default 40) up to the smallest cap of
-the chosen methods: moments 60, tau 60, genfun 100.  `verify --suite
-all` clamps each table suite to its backend's cap, the tau suite to 40
-and the injection suite to 30, after checking every component's lower
-bound.  Anything outside these ranges exits 2 before any work starts.
-A `verify` run builds at most two tables before its first suite.  The
+Every supported range (lowest, default and highest nmax of each
+request, and its clamp under `verify --suite all`) lives in `RANGES`
+below; anything outside its row exits 2 before any work starts.  A
+`verify` run builds at most two tables before its first suite.  The
 table suites read the chosen backend's table.  The map suites
 (injections, tau) compare the partitions they list with the arithmetic
 table, so they never build an enumeration table: they share one

@@ -103,12 +103,6 @@ def _require(symbol: MDurfeeSymbol, wanted: SymbolClass, op: str) -> None:
         )
 
 
-def theta1(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
-    """Identity on P1 (which coincides with Q1)."""
-    _require(symbol, _P1, "theta1")
-    return symbol
-
-
 def theta2(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     """P2 -> Q2, keeping the rectangle.
 

@@ -16,6 +16,8 @@ against the table machinery in the verification suite.
 
 from __future__ import annotations
 
+from operator import eq, gt
+
 from .partitions import partition_count
 from .report import CheckRecorder, VerifyReport
 
@@ -159,29 +161,21 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
 
     rec = CheckRecorder()
     nmax = min(order, table.nmax)
-    # Each check scans its n range in increasing order for its first
-    # failure and is recorded once; only a failure builds a witness.
-    inv = euler_inverse(order)
-    bad = next((n for n in range(0, order + 1) if inv[n] != partition_count(n)), None)
-    rec.expect("euler-inverse-counts-partitions", bad is None,
-               None if bad is None else {"n": bad, "coefficient": inv[bad],
-                                         "p": partition_count(bad)})
-    series = ospt_series(order)
+    coeffs = euler_inverse(order).coeffs
+    p = [partition_count(n) for n in range(order + 1)]
+    rec.expect_each("euler-inverse-counts-partitions", 0, eq, coeffs, p,
+                    lambda n: {"n": n, "coefficient": coeffs[n], "p": p[n]})
+    ospt = ospt_series(order).coeffs
     if nmax >= 1:
-        bad = next((n for n in range(1, nmax + 1) if series[n] != table.ospt_moments(n)), None)
-        rec.expect("ospt-series-matches-moments", bad is None,
-                   None if bad is None else {"n": bad, "coefficient": series[bad],
-                                             "moments": table.ospt_moments(bad)})
+        moments = [table.ospt_moments(n) for n in range(1, nmax + 1)]
+        rec.expect_each("ospt-series-matches-moments", 1, eq, ospt[1:nmax + 1], moments,
+                        lambda n: {"n": n, "coefficient": ospt[n], "moments": moments[n - 1]})
     if order >= 2:
-        bad = next((n for n in range(2, order + 1) if series[n] <= 0), None)
-        rec.expect("ospt-series-positive", bad is None,
-                   None if bad is None else {"n": bad, "coefficient": series[bad]})
+        rec.expect_each("ospt-series-positive", 2, gt, ospt[2:], [0] * (order - 1),
+                        lambda n: {"n": n, "coefficient": ospt[n]})
     if tau_limit >= 2:
-        bad = next((n for n in range(2, tau_limit + 1)
-                    if series[n] != reordering.ospt_via_tau(reordering.build_tau(n))), None)
-        rec.expect("ospt-series-matches-tau", bad is None,
-                   None if bad is None else {
-                       "n": bad, "coefficient": series[bad],
-                       "tau": reordering.ospt_via_tau(reordering.build_tau(bad))})
+        tau = [reordering.ospt_via_tau(reordering.build_tau(n)) for n in range(2, tau_limit + 1)]
+        rec.expect_each("ospt-series-matches-tau", 2, eq, ospt[2:tau_limit + 1], tau,
+                        lambda n: {"n": n, "coefficient": ospt[n], "tau": tau[n - 2]})
     return rec.report(
         "genfun", {"order": order, "moment_nmax": nmax, "tau_nmax": tau_limit})

@@ -3,16 +3,18 @@
 Each suite (identities, injections, tau, bounds, genfun) runs a batch
 of named checks over a range and reports one `CheckResult` per check:
 status "pass" or "fail", and for failures a witness dict pinning down
-the first counterexample.  A suite makes one `CheckRecorder.expect`
-call per check and scope: a weight in the identities and bounds
-suites, the whole range of n in the genfun suite, a weight and
-tie-break in the tau suite, and a weight and m in the injection suite.
-Where a scope holds many instances, such as the m of one weight, the
-n of the genfun range or the symbols of one (n, m), the suite scans
-them for the first failure before that call, and a passing scan builds
-no witness closure.  The recorder also times the suite and assembles
-its report.  Reports serialize to JSON and parse back bit-identically,
-which the command-line layer relies on.
+the first counterexample.  A suite states each check once per scope:
+a weight in the identities and bounds suites, the whole range of n in
+the genfun suite, a weight and tie-break in the tau suite, and a
+weight and m in the injection suite.  Where the instances of a scope
+lie in aligned lists, the m of one weight or the n of the genfun range,
+the check is one `CheckRecorder.expect_each` call, which scans for the
+first failure only when the scope did not pass.  Otherwise it is one
+`CheckRecorder.expect` call, after the suite's own scan where a scope
+holds many instances (the symbols of one (n, m), the positions of one
+tau map).  The recorder also times the suite and assembles its report.
+Reports serialize to JSON and parse back bit-identically, which the
+command-line layer relies on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from operator import and_, eq
 from typing import Any
 
 
@@ -97,11 +100,10 @@ class CheckRecorder:
     `expect(id, condition, witness)` marks the check failed on the
     first false condition; `witness` may be a dict or a zero-argument
     callable producing one, and is read only for the first failure of
-    each check.  Suites call it once per check and scope; a scope of
-    many instances is searched for its first failure first, and the
-    witness is built only when that scan failed, so a passing scan
-    builds no closure.  The suite's clock starts when the recorder is
-    made, and `report` reads it.
+    each check.  `expect_each` states a check over a list of instances
+    once: a passing scope registers the id and builds no witness.  The
+    suite's clock starts when the recorder is made, and `report` reads
+    it.
     """
 
     def __init__(self) -> None:
@@ -110,9 +112,32 @@ class CheckRecorder:
         self._seen: dict[str, None] = {}
 
     def expect(self, check_id: str, condition: bool, witness: Any = None) -> None:
-        self._seen.setdefault(check_id, None)
+        self._seen[check_id] = None
         if not condition and check_id not in self._failures:
             self._failures[check_id] = witness() if callable(witness) else dict(witness or {})
+
+    def expect_each(self, check_id: str, m0: int, relation, lhs: list, rhs: list,
+                    witness, relation2=None, rhs2: list | None = None) -> None:
+        """Check `relation(lhs[i], rhs[i])`, and `relation2(rhs[i], rhs2[i])`
+        when given, for every i; index i stands for m = m0 + i, and the
+        lists have one length.
+
+        A passing scope is cleared at C level (`lhs == rhs` when `relation`
+        is `operator.eq`).  Otherwise the check fails with `witness(m)`,
+        called at once for the first failing m.
+        """
+        self._seen[check_id] = None
+        if ((lhs == rhs if relation is eq else all(map(relation, lhs, rhs)))
+                and (relation2 is None or all(map(relation2, rhs, rhs2)))
+                or check_id in self._failures):
+            return
+        # lists of two lengths never pass under eq, so they always reach this test
+        if len(lhs) != len(rhs) or relation2 is not None and len(rhs2) != len(rhs):
+            raise ValueError(f"{check_id}: instance lists differ in length")
+        flags = list(map(relation, lhs, rhs))
+        if relation2 is not None:
+            flags = list(map(and_, flags, map(relation2, rhs, rhs2)))
+        self._failures[check_id] = witness(m0 + flags.index(False))
 
     def results(self) -> list[CheckResult]:
         out = []

@@ -1,4 +1,4 @@
-"""Per-partition statistics: rank, crank, rank-set membership, spt tally.
+"""Per-partition statistics: rank, crank and rank-set membership.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -10,7 +10,7 @@ Conventions, fixed once here and relied on everywhere else:
   [-l1, 1 - l2, ..., (k-1) - lk, k, k+1, k+2, ...]; membership is
   decided arithmetically, the infinite sequence is never built.
 
-All four statistics reject the empty partition: there is no largest
+All three statistics reject the empty partition: there is no largest
 part to read.  Note the crank of the single partition of 1 is -1 under
 this definition; the weight-1 counting conventions used by the tables
 module are a table-level adjustment, not a change to the statistic.
@@ -85,18 +85,3 @@ def rank_set_contains(partition: Sequence[int], m: int) -> bool:
         if d >= m:
             return d == m
     return False
-
-
-def smallest_part_count(partition: Sequence[int]) -> int:
-    """Multiplicity of the smallest part.
-
-    >>> smallest_part_count((3, 2, 2))
-    2
-    """
-    if not partition:
-        raise ValueError("the empty partition has no smallest part")
-    last = partition[-1]
-    i = len(partition) - 1
-    while i >= 0 and partition[i] == last:
-        i -= 1
-    return len(partition) - 1 - i

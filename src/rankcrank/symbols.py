@@ -122,20 +122,6 @@ def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurf
     return tuple.__new__(MDurfeeSymbol, (m, j, columns[j:], tuple(partition[m + j:])))
 
 
-def from_symbol(symbol: MDurfeeSymbol) -> Partition:
-    """Rebuild the partition a symbol came from (inverse of `to_symbol`).
-
-    >>> from_symbol(MDurfeeSymbol(2, 3, (4, 3, 3, 2), (3, 2, 2, 2)))
-    Partition([7, 7, 6, 4, 3, 3, 2, 2, 2])
-    """
-    if symbol.j == 0:
-        return conjugate(symbol.alpha)
-    heights = conjugate(symbol.alpha)
-    rows = [symbol.j + (heights[i] if i < len(heights) else 0) for i in range(symbol.rows)]
-    rows.extend(symbol.beta)
-    return Partition._from_sorted(rows)
-
-
 def rank_at_least(symbol: MDurfeeSymbol) -> bool:
     """Whether rank(lambda) >= -m + 1, read off the symbol alone.
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import add, ge, le, mul, sub
+from operator import add, eq, ge, le, mul, sub
 
 from .partitions import partition_count, partition_count_series
 from .report import CheckRecorder, VerifyReport
@@ -506,6 +506,16 @@ def verify_identities(table: StatTable) -> VerifyReport:
     """
     nmax = table.nmax
     rec = CheckRecorder()
+    # The per-m witnesses are made once: each reads the weight in hand (n, o
+    # and its lists) when a check fails at m.
+    at_m = lambda m: {"n": n, "m": m}
+    cum_at_m = lambda m: {"n": n, "m": m, "cum_crank": cum_crank[o + m], "q": q[o + m]}
+    tail_at_m = lambda m: {"n": n, "m": m, "q": q[o + m], "p_ge": p_ge[o - m + 1]}
+    chain_below_at_m = lambda m: {"n": n, "m": m, "cum_rank": cum_rank[o + m],
+                                  "cum_crank": cum_crank[o + m],
+                                  "cum_rank_next": cum_rank[o + m + 1]}
+    chain_above_at_m = lambda m: {"n": n, "m": m, "cum_rank_prev": cum_rank[o + m - 1],
+                                  "cum_crank": cum_crank[o + m], "cum_rank": cum_rank[o + m]}
     for n in range(1, nmax + 1):
         pn = partition_count(n)
         # The weight's six lists are read whole, once; m sits at index m + o.
@@ -516,63 +526,27 @@ def verify_identities(table: StatTable) -> VerifyReport:
                    lambda: {"n": n, "total": rank_total, "p": pn})
         rec.expect("crank-row-sums-to-p", crank_total == pn,
                    lambda: {"n": n, "total": crank_total, "p": pn})
-        # Each per-m check is cleared at C level by a slice or list comparison
-        # (index i of every list holds m = i - o); only a failing one scans
-        # its m range in increasing order for its first failure.  Each is
-        # recorded once, and only a failure builds a witness.
-        bad = None if rank[o + 1:o + n + 1] == rank[o - 1:2:-1] else next(
-            m for m in range(1, n + 1) if rank[o + m] != rank[o - m])
-        rec.expect("rank-symmetric-in-m", bad is None,
-                   None if bad is None else {"n": n, "m": bad})
-        bad = None if crank[o + 1:o + n + 1] == crank[o - 1:2:-1] else next(
-            m for m in range(1, n + 1) if crank[o + m] != crank[o - m])
-        rec.expect("crank-symmetric-in-m", bad is None,
-                   None if bad is None else {"n": n, "m": bad})
-        bad = None if cum_crank[1:-1] == q[1:-1] else next(
-            m for m in range(-n - 2, n + 3) if cum_crank[o + m] != q[o + m])
-        rec.expect("crank-cum-equals-rank-set-count", bad is None,
-                   None if bad is None else {"n": n, "m": bad, "cum_crank": cum_crank[o + bad],
-                                             "q": q[o + bad]})
+        # Each per-m check is one scan over aligned slices (index i of every
+        # list holds m = i - o); m0 is the m of the slices' first entry.
+        rec.expect_each("rank-symmetric-in-m", 1, eq, rank[o + 1:o + n + 1], rank[o - 1:2:-1], at_m)
+        rec.expect_each("crank-symmetric-in-m", 1, eq, crank[o + 1:o + n + 1], crank[o - 1:2:-1],
+                        at_m)
+        rec.expect_each("crank-cum-equals-rank-set-count", -n - 2, eq, cum_crank[1:-1], q[1:-1],
+                        cum_at_m)
         # over -n - 2 <= m <= n: N(<= m+1) + p_ge(m+2) and M(<= m) + q(-m-1)
         rank_sums = list(map(add, cum_rank[2:-2], p_ge[3:-1]))
         crank_sums = list(map(add, cum_crank[1:-3], q[-3:1:-1]))
         all_p = [pn] * len(rank_sums)
-        bad = None if rank_sums == all_p else next(
-            m for m in range(-n - 2, n + 1) if cum_rank[o + m + 1] != pn - p_ge[o + m + 2])
-        rec.expect("rank-cum-complement", bad is None,
-                   None if bad is None else {"n": n, "m": bad})
-        bad = None if crank_sums == all_p else next(
-            m for m in range(-n - 2, n + 1) if cum_crank[o + m] != pn - q[o - m - 1])
-        rec.expect("crank-cum-complement", bad is None,
-                   None if bad is None else {"n": n, "m": bad})
-        bad = None if rank_sums == crank_sums else next(
-            m for m in range(-n - 2, n + 1)
-            if cum_rank[o + m + 1] - cum_crank[o + m] != q[o - m - 1] - p_ge[o + m + 2])
-        rec.expect("cum-difference-transfer", bad is None,
-                   None if bad is None else {"n": n, "m": bad})
-        bad = None if all(map(ge, q[o:-1], p_ge[o + 1:1:-1])) else next(
-            m for m in range(0, n + 3) if q[o + m] < p_ge[o - m + 1])
-        rec.expect("rank-set-count-dominates-rank-tail", bad is None,
-                   None if bad is None else {"n": n, "m": bad, "q": q[o + bad],
-                                             "p_ge": p_ge[o - bad + 1]})
-        bad = None if (all(map(le, cum_rank[1:o], cum_crank[1:o]))
-                       and all(map(le, cum_crank[1:o], cum_rank[2:o + 1]))) else next(
-            m for m in range(-n - 2, 0)
-            if not cum_rank[o + m] <= cum_crank[o + m] <= cum_rank[o + m + 1])
-        rec.expect("cum-chain-negative-m", bad is None,
-                   None if bad is None else {"n": n, "m": bad,
-                                             "cum_rank": cum_rank[o + bad],
-                                             "cum_crank": cum_crank[o + bad],
-                                             "cum_rank_next": cum_rank[o + bad + 1]})
-        bad = None if (all(map(le, cum_rank[o - 1:-2], cum_crank[o:-1]))
-                       and all(map(le, cum_crank[o:-1], cum_rank[o:-1]))) else next(
-            m for m in range(0, n + 3)
-            if not cum_rank[o + m - 1] <= cum_crank[o + m] <= cum_rank[o + m])
-        rec.expect("cum-chain-nonnegative-m", bad is None,
-                   None if bad is None else {"n": n, "m": bad,
-                                             "cum_rank_prev": cum_rank[o + bad - 1],
-                                             "cum_crank": cum_crank[o + bad],
-                                             "cum_rank": cum_rank[o + bad]})
+        rec.expect_each("rank-cum-complement", -n - 2, eq, rank_sums, all_p, at_m)
+        rec.expect_each("crank-cum-complement", -n - 2, eq, crank_sums, all_p, at_m)
+        rec.expect_each("cum-difference-transfer", -n - 2, eq, rank_sums, crank_sums, at_m)
+        rec.expect_each("rank-set-count-dominates-rank-tail", 0, ge, q[o:-1], p_ge[o + 1:1:-1],
+                        tail_at_m)
+        # N(<= m) <= M(<= m) <= N(<= m+1), and N(<= m-1) <= M(<= m) <= N(<= m)
+        rec.expect_each("cum-chain-negative-m", -n - 2, le, cum_rank[1:o], cum_crank[1:o],
+                        chain_below_at_m, le, cum_rank[2:o + 1])
+        rec.expect_each("cum-chain-nonnegative-m", 0, le, cum_rank[o - 1:-2], cum_crank[o:-1],
+                        chain_above_at_m, le, cum_rank[o:-1])
         rec.expect("rank-first-moment-vanishes", table.moment_rank(1, n) == 0,
                    lambda: {"n": n, "N1": table.moment_rank(1, n)})
         m2_rank = table.moment_rank(2, n)

@@ -445,3 +445,10 @@ def test_desk_request_stdout_unchanged(capsys, key):
     assert code == 0
     out = re.sub(r'\n  "elapsed_ms": \d+', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib arrived in Python 3.11
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
+    assert rankcrank.__version__ == version

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import from_symbol
 from rankcrank import injections
 from rankcrank.injections import (
     SymbolClass,
@@ -7,7 +8,6 @@ from rankcrank.injections import (
     pi,
     sigma,
     theta,
-    theta1,
     theta2,
     theta3,
     verify_injections,
@@ -15,7 +15,6 @@ from rankcrank.injections import (
 from rankcrank.partitions import enumerate_partitions
 from rankcrank.symbols import (
     MDurfeeSymbol,
-    from_symbol,
     parse_symbol,
     rank_at_least,
     rank_set_has_m,
@@ -48,13 +47,6 @@ def test_classify_q_side():
 def test_classify_rejects_bad_side():
     with pytest.raises(ValueError):
         classify(sym(1, 0), "X")
-
-
-def test_theta1_is_identity_on_p1():
-    s = sym(1, 2, (2, 1), (2,))
-    assert theta1(s) == s
-    with pytest.raises(ValueError):
-        theta1(sym(1, 2, (2, 1), (1,)))  # P2, not P1
 
 
 def test_theta2_worked_example():
@@ -104,7 +96,8 @@ def test_theta_dispatch():
     p1 = sym(1, 2, (2, 1), (2,))
     p2 = sym(1, 2, (2, 2, 1), (1,))
     p3 = sym(1, 3, (3, 1), (1,))
-    assert theta(p1) == p1
+    assert theta(p1) is p1  # identity on P1, with j >= 1 and with j = 0
+    assert theta(sym(2, 0, (2, 1))) == sym(2, 0, (2, 1))
     assert theta(p2) == theta2(p2)
     assert theta(p3) == theta3(p3)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from operator import eq, gt, le
 
 import pytest
 
@@ -105,3 +106,71 @@ def test_from_dict_rejects_bad_status():
     data["checks"][0]["status"] = "maybe"
     with pytest.raises(ValueError):
         VerifyReport.from_dict(data)
+
+
+def _witnessing(calls):
+    def witness(m):
+        calls.append(m)
+        return {"m": m}
+    return witness
+
+
+def test_expect_each_all_pass_builds_no_witness():
+    rec, calls = CheckRecorder(), []
+    rec.expect_each("eq", -2, eq, [1, 2, 3], [1, 2, 3], _witnessing(calls))
+    rec.expect_each("le", 0, le, [1, 2, 3], [1, 5, 3], _witnessing(calls))
+    rec.expect_each("chain", 0, le, [1, 2], [2, 2], _witnessing(calls), le, [3, 2])
+    rec.expect_each("empty", 7, eq, [], [], _witnessing(calls))
+    assert calls == []
+    assert rec.results() == [CheckResult(i, "pass") for i in ("chain", "empty", "eq", "le")]
+
+
+def test_expect_each_first_failing_m_honours_m0():
+    rec, calls = CheckRecorder(), []
+    rec.expect_each("x", -3, eq, [0, 1, 9, 3, 9], [0, 1, 2, 3, 4], _witnessing(calls))
+    assert calls == [-1]  # index 2 stands for m = -3 + 2; index 4 builds no witness
+    rec.expect_each("x", 10, eq, [9], [0], _witnessing(calls))
+    assert calls == [-1]  # a check already failed keeps its first witness
+    assert rec.results() == [CheckResult("x", "fail", {"m": -1})]
+
+
+def test_expect_each_chain_failing_only_in_its_second_relation():
+    rec, calls = CheckRecorder(), []
+    # lhs <= rhs holds everywhere; rhs <= rhs2 fails at indices 1 and 3
+    rec.expect_each("chain", 5, le, [0, 1, 2, 3], [1, 4, 2, 5], _witnessing(calls),
+                    le, [1, 3, 2, 4])
+    assert calls == [6]
+    rec = CheckRecorder()
+    # a failure of the first relation earlier than one of the second
+    rec.expect_each("chain", 0, le, [0, 9, 0], [1, 1, 9], _witnessing(calls), le, [1, 1, 0])
+    assert calls == [6, 1]
+
+
+def test_expect_each_eq_compares_the_lists_whole():
+    class Uniterable(list):
+        def __iter__(self):
+            raise AssertionError("the eq path must not iterate in Python")
+
+    rec, calls = CheckRecorder(), []
+    rec.expect_each("eq", 0, eq, Uniterable([1, 2]), Uniterable([1, 2]), _witnessing(calls))
+    assert calls == []
+    rec.expect_each("eq", 0, eq, [1, 2, 4], [1, 2, 3], _witnessing(calls))
+    assert calls == [2]
+
+
+def test_expect_each_non_reflexive_relation():
+    rec, calls = CheckRecorder(), []
+    rec.expect_each("positive", 2, gt, [3, 1, 1], [0, 0, 0], _witnessing(calls))
+    assert calls == []
+    rec.expect_each("positive", 2, gt, [3, 1, 0, 5, 0], [0] * 5, _witnessing(calls))
+    assert calls == [4]  # equality fails a strict relation
+
+
+def test_expect_each_rejects_lists_of_different_lengths():
+    # a scope that does not pass is checked; under eq, an agreeing prefix
+    # does not pass as the whole scope
+    rec = CheckRecorder()
+    with pytest.raises(ValueError):
+        rec.expect_each("eq", 0, eq, [1, 2], [1], _witnessing([]))
+    with pytest.raises(ValueError):
+        rec.expect_each("chain", 0, le, [1], [0], _witnessing([]), le, [1, 2])

@@ -1,13 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import smallest_part_count
 from rankcrank.partitions import Partition, conjugate, enumerate_partitions
-from rankcrank.statistics import (
-    crank,
-    rank,
-    rank_set_contains,
-    smallest_part_count,
-)
+from rankcrank.statistics import crank, rank, rank_set_contains
 
 
 def ones_count(partition) -> int:
@@ -52,7 +48,7 @@ def test_crank_matches_ones_count_definition():
 
 
 def test_statistics_reject_empty():
-    for fn in (rank, crank, smallest_part_count):
+    for fn in (rank, crank):
         with pytest.raises(ValueError):
             fn(())
     with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import from_symbol
 from rankcrank.partitions import Partition, conjugate, enumerate_partitions
 from rankcrank.statistics import rank, rank_set_contains
 from rankcrank.symbols import (
     MDurfeeSymbol,
     format_symbol,
-    from_symbol,
     parse_symbol,
     rank_at_least,
     rank_set_has_m,

@@ -1,10 +1,12 @@
+import random
 from itertools import accumulate
 
 import pytest
 
+from oracles import smallest_part_count
 from rankcrank import partitions, tables
 from rankcrank.partitions import enumerate_partitions, partition_count
-from rankcrank.statistics import crank, rank, rank_set_contains, smallest_part_count
+from rankcrank.statistics import crank, rank, rank_set_contains
 
 # spt and ospt reference values, small range
 SPT = [None, 1, 3, 5, 10, 14, 26, 35, 57, 80, 119]
@@ -353,6 +355,68 @@ def test_verify_identities_witnesses_at_range_ends(row, m, failures):
         t._rank[n][m + n + 3] += 1
     rep = tables.verify_identities(t)
     assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == failures
+
+
+# Each per-m identity as (its m range at weight n, holds(t, m, n, p)), stated
+# through the per-cell accessors, one call per cell.
+PER_M_IDENTITIES = {
+    "rank-symmetric-in-m": (
+        lambda n: range(1, n + 1),
+        lambda t, m, n, p: t.rank_count(m, n) == t.rank_count(-m, n)),
+    "crank-symmetric-in-m": (
+        lambda n: range(1, n + 1),
+        lambda t, m, n, p: t.crank_count(m, n) == t.crank_count(-m, n)),
+    "crank-cum-equals-rank-set-count": (
+        lambda n: range(-n - 2, n + 3),
+        lambda t, m, n, p: t.cum_crank(m, n) == t.q_count(m, n)),
+    "rank-cum-complement": (
+        lambda n: range(-n - 2, n + 1),
+        lambda t, m, n, p: t.cum_rank(m + 1, n) == p - t.p_ge(m + 2, n)),
+    "crank-cum-complement": (
+        lambda n: range(-n - 2, n + 1),
+        lambda t, m, n, p: t.cum_crank(m, n) == p - t.q_count(-m - 1, n)),
+    "cum-difference-transfer": (
+        lambda n: range(-n - 2, n + 1),
+        lambda t, m, n, p: (t.cum_rank(m + 1, n) - t.cum_crank(m, n)
+                            == t.q_count(-m - 1, n) - t.p_ge(m + 2, n))),
+    "rank-set-count-dominates-rank-tail": (
+        lambda n: range(0, n + 3),
+        lambda t, m, n, p: t.q_count(m, n) >= t.p_ge(-m + 1, n)),
+    "cum-chain-negative-m": (
+        lambda n: range(-n - 2, 0),
+        lambda t, m, n, p: t.cum_rank(m, n) <= t.cum_crank(m, n) <= t.cum_rank(m + 1, n)),
+    "cum-chain-nonnegative-m": (
+        lambda n: range(0, n + 3),
+        lambda t, m, n, p: t.cum_rank(m - 1, n) <= t.cum_crank(m, n) <= t.cum_rank(m, n)),
+}
+
+
+def test_per_m_witness_is_the_smallest_failing_m_under_random_corruptions():
+    # one cell of one stored row moved, padding cells included: every
+    # per-m identity that fails names the corrupted weight and the
+    # smallest m at which the accessors see it fail
+    rng = random.Random(20171)
+    t = tables.build_accelerated(10)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        row = getattr(t, rng.choice(("_rank", "_crank", "_q")))[n]
+        i = rng.randrange(len(row))
+        delta = rng.choice((-2, -1, 1, 2))
+        row[i] += delta
+        p = partition_count(n)
+        expected = {}
+        for check_id, (m_range, holds) in PER_M_IDENTITIES.items():
+            bad = [m for m in m_range(n) if not holds(t, m, n, p)]
+            if bad:
+                expected[check_id] = (n, bad[0])
+        got = {c.id: (c.witness["n"], c.witness["m"])
+               for c in tables.verify_identities(t).checks
+               if c.status == "fail" and c.id in PER_M_IDENTITIES}
+        row[i] -= delta
+        assert got == expected, (n, i, delta)
+        seen.update(got)
+    assert seen == set(PER_M_IDENTITIES)
 
 
 def test_odd_spt_numerator_fails_spt_checks_without_raising():
