@@ -46,11 +46,6 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         return tuple.__new__(cls, _weakly_decreasing_positive(parts, "parts"))
 
-    @classmethod
-    def _from_sorted(cls, parts: Iterable[int]) -> "Partition":
-        # Fast path for callers that guarantee sorted positive parts.
-        return tuple.__new__(cls, tuple(parts))
-
     @property
     def weight(self) -> int:
         """The number being partitioned: the sum of the parts."""
@@ -77,7 +72,7 @@ def conjugate(partition: Sequence[int]) -> Partition:
         while partition[count - 1] < k:
             count -= 1
         out.append(count)
-    return Partition._from_sorted(out)
+    return tuple.__new__(Partition, out)  # the counts fall as k grows: no re-validation
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:

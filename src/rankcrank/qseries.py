@@ -1,14 +1,12 @@
 """Truncated formal power series in q with exact integer coefficients.
 
 A `TruncatedSeries` holds coefficients of q^0 .. q^N for a fixed
-truncation order N, set at construction.  Its arithmetic is truncated
-multiplication and inversion, and it never rounds: coefficients are
-Python ints, terms beyond the order are discarded, and multiplying
-series of different orders is an error rather than a silent
-re-truncation.
+truncation order N, set at construction.  It never rounds:
+coefficients are Python ints, and a read beyond the order is an error
+rather than a silent wrap.
 
-On top of the arithmetic sit the two series this package cares about:
-the reciprocal Euler product, whose n-th coefficient is p(n), and the
+The module builds the two series this package cares about: the
+reciprocal Euler product, whose n-th coefficient is p(n), and the
 two-parameter theta-like sum whose reciprocal-Euler multiple generates
 the ospt values.  Both are cross-checked coefficient by coefficient
 against the table machinery in the verification suite.
@@ -16,8 +14,10 @@ against the table machinery in the verification suite.
 
 from __future__ import annotations
 
-from operator import eq, gt
+from itertools import repeat
+from operator import add, eq, gt, mul
 
+from . import reordering
 from .partitions import partition_count
 from .report import CheckRecorder, VerifyReport
 
@@ -47,34 +47,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for k in range(i, self.order + 1):
-                out[k] += a * other.coeffs[k - i]
-        return TruncatedSeries(self.order, out)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires constant term +-1 to stay integral."""
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise ValueError("inverse needs constant term +1 or -1")
-        inv = [0] * (self.order + 1)
-        inv[0] = a0
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -a0 * acc
-        return TruncatedSeries(self.order, inv)
-
     def __repr__(self) -> str:
         shown = self.coeffs[: min(8, self.order + 1)]
         tail = " ..." if self.order + 1 > 8 else ""
@@ -97,10 +69,16 @@ def euler_product(order: int) -> TruncatedSeries:
 def euler_inverse(order: int) -> TruncatedSeries:
     """1 / prod (1 - q^k); coefficient n is p(n).
 
-    Obtained by inverting the literal product, so agreement with the
-    pentagonal-recurrence p(n) is a genuine two-route check.
+    Obtained by inverting the literal product, whose constant term is 1:
+    coefficient k is minus the sum, over the product's nonzero terms a q^i
+    with 1 <= i <= k, of a times coefficient k - i.  Agreement with the
+    pentagonal-recurrence p(n) is then a genuine two-route check.
     """
-    return euler_product(order).inverse()
+    terms = [(i, a) for i, a in enumerate(euler_product(order).coeffs) if i and a]
+    inv = [1] + [0] * order
+    for k in range(1, order + 1):
+        inv[k] = -sum(a * inv[k - i] for i, a in terms if i <= k)
+    return TruncatedSeries(order, inv)
 
 
 def ospt_numerator(order: int) -> TruncatedSeries:
@@ -142,8 +120,17 @@ def ospt_numerator(order: int) -> TruncatedSeries:
 
 
 def ospt_series(order: int) -> TruncatedSeries:
-    """Generating function of ospt: euler_inverse * ospt_numerator."""
-    return euler_inverse(order) * ospt_numerator(order)
+    """Generating function of ospt: euler_inverse times ospt_numerator.
+
+    Each nonzero numerator term c q^e adds c times the p-series, shifted
+    to start at q^e, to a slice of the result at C level.
+    """
+    ps = euler_inverse(order).coeffs
+    out = [0] * (order + 1)
+    for e, c in enumerate(ospt_numerator(order).coeffs):
+        if c:
+            out[e:] = map(add, out[e:], map(mul, repeat(c), ps))
+    return TruncatedSeries(order, out)
 
 
 def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
@@ -157,8 +144,6 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
     * if tau_limit >= 2, coefficients also match the re-ordering count
       of crank-rank difference 1 for 2 <= n <= tau_limit.
     """
-    from . import reordering  # deferred: reordering does not import qseries
-
     rec = CheckRecorder()
     nmax = min(order, table.nmax)
     coeffs = euler_inverse(order).coeffs
@@ -166,16 +151,13 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
     rec.expect_each("euler-inverse-counts-partitions", 0, eq, coeffs, p,
                     lambda n: {"n": n, "coefficient": coeffs[n], "p": p[n]})
     ospt = ospt_series(order).coeffs
-    if nmax >= 1:
-        moments = [table.ospt_moments(n) for n in range(1, nmax + 1)]
-        rec.expect_each("ospt-series-matches-moments", 1, eq, ospt[1:nmax + 1], moments,
-                        lambda n: {"n": n, "coefficient": ospt[n], "moments": moments[n - 1]})
-    if order >= 2:
-        rec.expect_each("ospt-series-positive", 2, gt, ospt[2:], [0] * (order - 1),
-                        lambda n: {"n": n, "coefficient": ospt[n]})
-    if tau_limit >= 2:
-        tau = [reordering.ospt_via_tau(reordering.build_tau(n)) for n in range(2, tau_limit + 1)]
-        rec.expect_each("ospt-series-matches-tau", 2, eq, ospt[2:tau_limit + 1], tau,
-                        lambda n: {"n": n, "coefficient": ospt[n], "tau": tau[n - 2]})
+    moments = [table.ospt_moments(n) for n in range(1, nmax + 1)]
+    rec.expect_each("ospt-series-matches-moments", 1, eq, ospt[1:nmax + 1], moments,
+                    lambda n: {"n": n, "coefficient": ospt[n], "moments": moments[n - 1]})
+    rec.expect_each("ospt-series-positive", 2, gt, ospt[2:], [0] * (order - 1),
+                    lambda n: {"n": n, "coefficient": ospt[n]})
+    tau = [reordering.ospt_via_tau(reordering.build_tau(n)) for n in range(2, tau_limit + 1)]
+    rec.expect_each("ospt-series-matches-tau", 2, eq, ospt[2:tau_limit + 1], tau,
+                    lambda n: {"n": n, "coefficient": ospt[n], "tau": tau[n - 2]})
     return rec.report(
         "genfun", {"order": order, "moment_nmax": nmax, "tau_nmax": tau_limit})

@@ -12,9 +12,10 @@ the check is one `CheckRecorder.expect_each` call, which scans for the
 first failure only when the scope did not pass.  Otherwise it is one
 `CheckRecorder.expect` call, after the suite's own scan where a scope
 holds many instances (the symbols of one (n, m), the positions of one
-tau map).  The recorder also times the suite and assembles its report.
-Reports serialize to JSON and parse back bit-identically, which the
-command-line layer relies on.
+tau map).  A check is listed only once it ran on some instance: an
+`expect_each` scope with no instances records nothing, so a check
+whose every scope is empty is absent from the report rather than a
+pass.  The recorder also times the suite and assembles its report.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class CheckRecorder:
     first false condition; `witness` may be a dict or a zero-argument
     callable producing one, and is read only for the first failure of
     each check.  `expect_each` states a check over a list of instances
-    once: a passing scope registers the id and builds no witness.  The
+    once: a passing scope registers the id and builds no witness, and an
+    empty scope records nothing, neither the id nor a witness.  The
     suite's clock starts when the recorder is made, and `report` reads
     it.
     """
@@ -122,10 +124,13 @@ class CheckRecorder:
         when given, for every i; index i stands for m = m0 + i, and the
         lists have one length.
 
-        A passing scope is cleared at C level (`lhs == rhs` when `relation`
-        is `operator.eq`).  Otherwise the check fails with `witness(m)`,
+        A scope whose lists are all empty records nothing.  A passing scope
+        is cleared at C level (`lhs == rhs` when `relation` is
+        `operator.eq`).  Otherwise the check fails with `witness(m)`,
         called at once for the first failing m.
         """
+        if not (lhs or rhs or rhs2):
+            return
         self._seen[check_id] = None
         if ((lhs == rhs if relation is eq else all(map(relation, lhs, rhs)))
                 and (relation2 is None or all(map(relation2, rhs, rhs2)))

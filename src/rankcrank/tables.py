@@ -430,17 +430,6 @@ def _rows_from_series(nmax: int, base_exponent) -> list:
     return [None] + [list(at[n][n:0:-1] + at[n][:n + 1]) for n in range(1, nmax + 1)]
 
 
-def _bounded_part_counts(nmax: int) -> list:
-    """pb[k][a] = number of partitions of a with every part <= k."""
-    pb = [[1] + [0] * nmax]
-    for k in range(1, nmax + 1):
-        row = pb[k - 1][:]
-        for a in range(k, nmax + 1):
-            row[a] += row[a - k]
-        pb.append(row)
-    return pb
-
-
 def build_accelerated(nmax: int) -> StatTable:
     """Compute the same tables arithmetically; no enumeration, no tally.
 
@@ -454,9 +443,10 @@ def build_accelerated(nmax: int) -> StatTable:
     of exactly j under it (weight j(m + j + 1)); F_{m,j} fills the
     columns beside the rectangle (parts <= m + j) and the rows under it
     (parts <= j).  The j = 0 term is the partitions with parts <= m.
-    One running series per m carries F_{m,j}: it starts at F_{m,0}, the
-    bounded-part counts pb[m], and each step divides by 1 - q^(m+j) and
-    1 - q^j in place, truncated to the coefficients that term j can
+    One running series carries F_{m,0} across all m, divided in place by
+    1 - q^(m+1) once the column of m is done.  A second, per m, carries
+    F_{m,j}: it starts at F_{m,0}, and each step divides by 1 - q^(m+j)
+    and 1 - q^j in place, truncated to the coefficients that term j can
     still place at some n <= nmax.
     Entries for m < 0 use the conjugation complement
     q(m, n) = p(n) - q(-m - 1, n).
@@ -469,11 +459,11 @@ def build_accelerated(nmax: int) -> StatTable:
     ps = partition_count_series(nmax)
     rank_rows = _rows_from_series(nmax, lambda k, m: k * (3 * k - 1) // 2 + m * k)
     crank_rows = _rows_from_series(nmax, lambda k, m: k * (k - 1) // 2 + m * k)
-    pb = _bounded_part_counts(nmax)
+    bounded = [1] + [0] * nmax  # F_{m,0}: the partitions with parts <= m
     q_cols = []  # q_cols[m][n] = q(m, n) for 0 <= m <= nmax + 2
     for m in range(nmax + 3):
-        col = pb[min(m, nmax)][:]
-        fill = col[:]  # F_{m,0}
+        col = bounded[:]
+        fill = bounded[:]
         j = 1
         while (offset := j * (m + j + 1)) <= nmax:
             del fill[nmax - offset + 1:]
@@ -483,6 +473,8 @@ def build_accelerated(nmax: int) -> StatTable:
             col[offset:] = map(add, col[offset:], fill)
             j += 1
         q_cols.append(col)
+        for a in range(m + 1, nmax + 1):
+            bounded[a] += bounded[a - m - 1]
     at = list(zip(*q_cols))  # at[n][m] = q(m, n) for 0 <= m <= nmax + 2
     # m < 0 reads q(-m - 1, n), from m = -n (index n - 1) up to m = -1 (index 0)
     q_rows = [None] + [list(map(sub, repeat(ps[n]), at[n][n - 1::-1])) + list(at[n][:n + 3])

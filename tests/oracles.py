@@ -32,3 +32,15 @@ def from_symbol(symbol) -> Partition:
         return heights
     rows = [symbol.j + (heights[i] if i < len(heights) else 0) for i in range(symbol.rows)]
     return Partition(rows + list(symbol.beta))
+
+
+def truncated_product(a, b) -> list:
+    """The product of two coefficient lists of one length, truncated to
+    that length: coefficient k is the plain sum of a[i] * b[k - i].
+
+    >>> truncated_product([1, 1, 0], [1, -1, 0])
+    [1, 0, -1]
+    """
+    if len(a) != len(b):
+        raise ValueError("the factors must have one truncation order")
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 
 import rankcrank
 from rankcrank import injections, partitions, qseries, reordering, tables
-from rankcrank.cli import main
+from rankcrank.cli import RANGES, TABLE_SUITES, main
 from rankcrank.report import VerifyReport
 from rankcrank.symbols import to_symbol
 
@@ -88,6 +89,20 @@ def test_verify_identities_json(capsys):
     assert rep.ok and rep.suite == "identities"
     assert rep.range == {"nmin": 1, "nmax": 10, "backend": "enumerated"}
     assert "all checks passed" in err
+
+
+GENFUN_IDS = ["euler-inverse-counts-partitions", "ospt-series-matches-moments",
+              "ospt-series-positive", "ospt-series-matches-tau"]
+
+
+@pytest.mark.parametrize("nmax, ids", [
+    ("1", GENFUN_IDS[:2]),  # no weight n >= 2: positivity and tau have no instance
+    ("2", GENFUN_IDS),
+], ids=["nmax1", "nmax2"])
+def test_verify_genfun_lists_the_checks_that_ran(capsys, nmax, ids):
+    code, out, _ = run(capsys, "verify", "--suite", "genfun", "--nmax", nmax)
+    assert code == 0
+    assert [c.id for c in VerifyReport.from_json(out).checks] == sorted(ids)
 
 
 def test_verify_tau_rejects_nmax_one(capsys):
@@ -445,6 +460,41 @@ def test_desk_request_stdout_unchanged(capsys, key):
     assert code == 0
     out = re.sub(r'\n  "elapsed_ms": \d+', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]
+
+
+# README's "Supported ranges" rows, by request cell, and the RANGES rows
+# each restates; the ospt row lists one cap per method.
+README_RANGE_ROWS = {
+    "`table`, enumeration backend": [("table", "enumerated")],
+    "`table --backend accelerated`": [("table", "accelerated")],
+    "`verify` identities / bounds / genfun": [(TABLE_SUITES, "enumerated")],
+    "the same with `--backend accelerated`": [(TABLE_SUITES, "accelerated")],
+    "the same with `--extended`": [(TABLE_SUITES, "extended")],
+    "`verify --suite tau`": [("verify tau", None)],
+    "`verify --suite injections`": [("verify injections", None)],
+    "`tau`": [("tau", None)],
+    "`inject` (and m >= 0; an empty class exits 1 at once)": [("inject", None)],
+    "`ospt`": [("ospt", "moments"), ("ospt", "tau"), ("ospt", "genfun")],
+}
+
+
+def test_readme_ranges_match_cli_ranges():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    body = lines[lines.index("| request | lowest | default | highest |") + 2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in takewhile(lambda text: text.startswith("|"), body)]
+    assert [row[0] for row in rows] == list(README_RANGE_ROWS)
+    assert set(RANGES) == {key for keys in README_RANGE_ROWS.values() for key in keys}
+    for request, lowest, default, highest in rows:
+        ranges = [RANGES[key] for key in README_RANGE_ROWS[request]]
+        for row in ranges:
+            assert (lowest, default) == (str(row.lowest), str(row.default or "—")), request
+        if len(ranges) == 1:
+            assert highest == str(ranges[0].highest), request
+        else:
+            assert re.findall(r"(\w+) (\d+)", highest) == [
+                (key[1], str(row.highest))
+                for key, row in zip(README_RANGE_ROWS[request], ranges)], request
 
 
 def test_version_matches_pyproject():

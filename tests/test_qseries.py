@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import truncated_product
 from rankcrank.partitions import partition_count
 from rankcrank.qseries import (
     TruncatedSeries,
@@ -32,35 +33,6 @@ def test_zero_and_one():
     assert TruncatedSeries(3, [1]).coeffs == [1, 0, 0, 0]
 
 
-def test_ring_operations():
-    a = TruncatedSeries(3, [1, 1])
-    b = TruncatedSeries(3, [1, -1])
-    assert (a * b).coeffs == [1, 0, -1, 0]
-    # truncation really drops the high terms
-    c = TruncatedSeries(2, [0, 1, 1])
-    assert (c * c).coeffs == [0, 0, 1]
-
-
-def test_order_mismatch_rejected():
-    a = TruncatedSeries(3, [1])
-    b = TruncatedSeries(4, [1])
-    with pytest.raises(ValueError):
-        a * b
-
-
-def test_inverse():
-    a = TruncatedSeries(5, [1, -1])
-    inv = a.inverse()
-    assert inv.coeffs == [1, 1, 1, 1, 1, 1]
-    assert (a * inv) == TruncatedSeries(5, [1])
-    neg = TruncatedSeries(4, [-1, 2])
-    assert (neg * neg.inverse()) == TruncatedSeries(4, [1])
-    with pytest.raises(ValueError):
-        TruncatedSeries(3, [2]).inverse()
-    with pytest.raises(ValueError):
-        TruncatedSeries(3).inverse()
-
-
 def test_euler_product_pentagonal_signs():
     # sparse +-1 pattern at generalized pentagonal exponents
     assert euler_product(7).coeffs == [1, -1, -1, 0, 0, 1, 0, 1]
@@ -79,8 +51,15 @@ def test_euler_inverse_counts_partitions():
 
 
 def test_product_times_inverse_is_one():
-    n = 40
-    assert euler_product(n) * euler_inverse(n) == TruncatedSeries(n, [1])
+    for order in range(41):
+        one = truncated_product(euler_product(order).coeffs, euler_inverse(order).coeffs)
+        assert one == [1] + [0] * order
+
+
+def test_ospt_series_is_inverse_times_numerator():
+    for order in range(41):
+        expected = truncated_product(euler_inverse(order).coeffs, ospt_numerator(order).coeffs)
+        assert ospt_series(order) == TruncatedSeries(order, expected)
 
 
 def test_ospt_numerator_small():

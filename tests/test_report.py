@@ -122,7 +122,22 @@ def test_expect_each_all_pass_builds_no_witness():
     rec.expect_each("chain", 0, le, [1, 2], [2, 2], _witnessing(calls), le, [3, 2])
     rec.expect_each("empty", 7, eq, [], [], _witnessing(calls))
     assert calls == []
-    assert rec.results() == [CheckResult(i, "pass") for i in ("chain", "empty", "eq", "le")]
+    assert rec.results() == [CheckResult(i, "pass") for i in ("chain", "eq", "le")]
+
+
+def test_expect_each_empty_scope_registers_nothing():
+    rec, calls = CheckRecorder(), []
+    rec.expect_each("eq", 0, eq, [], [], _witnessing(calls))
+    rec.expect_each("positive", 2, gt, [], [], _witnessing(calls))
+    rec.expect_each("chain", 0, le, [], [], _witnessing(calls), le, [])
+    assert calls == [] and rec.results() == []
+    # an empty scope neither passes nor clears a check another scope ran
+    rec.expect_each("eq", 3, eq, [1, 2], [1, 0], _witnessing(calls))
+    rec.expect_each("eq", 0, eq, [], [], _witnessing(calls))
+    rec.expect_each("le", 0, le, [1], [2], _witnessing(calls))
+    rec.expect_each("le", 0, le, [], [], _witnessing(calls))
+    assert calls == [4]
+    assert rec.results() == [CheckResult("eq", "fail", {"m": 4}), CheckResult("le", "pass")]
 
 
 def test_expect_each_first_failing_m_honours_m0():
