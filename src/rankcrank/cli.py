@@ -284,7 +284,6 @@ def cmd_inject(args) -> int:
     if args.m < 0:
         raise UsageError("m must be >= 0")
     _nmax(("inject", None), args.n)
-    wanted = injections.SymbolClass[args.case]
     if args.symbol is not None:
         try:
             sym = parse_symbol(args.symbol)
@@ -294,7 +293,7 @@ def cmd_inject(args) -> int:
             raise UsageError(
                 f"symbol has m = {sym.m}, weight = {sym.weight}; "
                 f"flags say m = {args.m}, n = {args.n}")
-        if injections.classify(sym, "P") is not wanted:
+        if injections.classify(sym, "P") != args.case:
             raise UsageError(f"symbol is not in class {args.case}: {format_symbol(sym)}")
     else:
         # The first member in listing (lex-decreasing) order, found without
@@ -318,9 +317,8 @@ def cmd_inject(args) -> int:
     sys.stdout.write(f"input:     {format_symbol(sym)}\n")
     sys.stdout.write(f"image:     {format_symbol(image)}\n")
     sys.stdout.write(f"recovered: {format_symbol(recovered)}\n")
-    q_class = injections.classify(image, "Q")
-    q_name = q_class.name if q_class is not None else "no Q class"
-    _narrate(f"{args.case} member of weight {sym.weight} maps into {q_name}; "
+    q_class = injections.classify(image, "Q") or "no Q class"
+    _narrate(f"{args.case} member of weight {sym.weight} maps into {q_class}; "
              f"round-trip {'ok' if recovered == sym else 'FAILED'}")
     return 0 if recovered == sym else 1
 

@@ -16,6 +16,9 @@ m-Durfee rectangle decomposition (alpha | beta)_(m+j)xj.  Two families:
     Q3: j' >= 1, len(delta) - len(gamma) >= 0, and gamma[0] = m + j'
   (an empty gamma reads as gamma[0] = 0).
 
+A class is its name: `classify` returns one of the six strings above
+(or None), and the maps and the suite compare names with ``==``.
+
 Each split is a disjoint cover of its family, P1 = Q1 as sets, and the
 maps below send P2 into Q2 and P3 into Q3 injectively, preserving the
 weight.  `theta` dispatches on the class (identity on P1), so it is a
@@ -29,40 +32,16 @@ a symbol outside its domain; nothing is silently coerced.
 
 from __future__ import annotations
 
-import enum
-
 from .partitions import conjugate, enumerate_partitions
 from .report import CheckRecorder, VerifyReport
 from .statistics import rank, rank_set_contains
 from .symbols import MDurfeeSymbol, _symbol, format_symbol, rank_at_least, rank_set_has_m
 
 
-class SymbolClass(enum.Enum):
-    """Classification of a symbol within its family (P side or Q side)."""
+def classify(symbol: MDurfeeSymbol, side: str) -> str | None:
+    """The symbol's class, "P1"/"P2"/"P3" or "Q1"/"Q2"/"Q3", or None if not in the family.
 
-    P1 = ("P", 1)
-    P2 = ("P", 2)
-    P3 = ("P", 3)
-    Q1 = ("Q", 1)
-    Q2 = ("Q", 2)
-    Q3 = ("Q", 3)
-
-    # Members are singletons, so identity hashing is exact, and it runs at C
-    # level where Enum's own hashes the member's name in Python.
-    __hash__ = object.__hash__
-
-
-# The members as module globals, for the per-symbol paths: on CPython 3.11
-# an attribute read on an Enum class goes through `EnumType.__getattr__`'s
-# slow lookup, about ten times the cost of a global read.
-_P1, _P2, _P3, _Q1, _Q2, _Q3 = SymbolClass
-# each class's side, read without Enum's Python-level `name` property
-_SIDE = {cls: cls.name[0] for cls in SymbolClass}
-
-
-def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
-    """Place a symbol in P1/P2/P3 or Q1/Q2/Q3, or None if not in the family.
-
+    A class is its name, the string the command line's `--case` takes.
     side "P" requires membership in P(-m+1, n) (rank >= -m + 1);
     side "Q" requires membership in Q(m, n) (m in the rank-set).  The
     membership tests are `rank_at_least` and `rank_set_has_m`, read
@@ -71,36 +50,34 @@ def classify(symbol: MDurfeeSymbol, side: str) -> SymbolClass | None:
     m, j, alpha, beta = symbol
     if side == "P":
         if j == 0:
-            return _P1
+            return "P1"
         if len(beta) >= len(alpha):
             return None
         b1 = beta[0] if beta else 0
         if b1 == j:
-            return _P1
+            return "P1"
         if b1 == j - 1:
-            return _P2
-        return _P3
+            return "P2"
+        return "P3"
     if side == "Q":
         if j == 0:
-            return _Q1
+            return "Q1"
         if not beta or beta[0] != j:
             return None
         if len(beta) < len(alpha):
-            return _Q1
+            return "Q1"
         g1 = alpha[0] if alpha else 0
         if g1 < m + j:
-            return _Q2
-        return _Q3
+            return "Q2"
+        return "Q3"
     raise ValueError(f"side must be 'P' or 'Q', got {side!r}")
 
 
-def _require(symbol: MDurfeeSymbol, wanted: SymbolClass, op: str) -> None:
-    got = classify(symbol, _SIDE[wanted])
-    if got is not wanted:
+def _require(symbol: MDurfeeSymbol, wanted: str, op: str) -> None:
+    got = classify(symbol, wanted[0])
+    if got != wanted:
         raise ValueError(
-            f"{op} needs a {wanted.name} symbol, got {got.name if got else 'non-member'}:"
-            f" {format_symbol(symbol)}"
-        )
+            f"{op} needs a {wanted} symbol, got {got or 'non-member'}: {format_symbol(symbol)}")
 
 
 def theta2(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
@@ -113,7 +90,7 @@ def theta2(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     The new bottom leads with (j-1)+1 = j, so m enters the rank-set.
     """
-    _require(symbol, _P2, "theta2")
+    _require(symbol, "P2", "theta2")
     s, t = len(symbol.alpha), len(symbol.beta)
     gamma = [a - 1 for a in symbol.alpha if a > 1]
     delta = [b + 1 for b in symbol.beta] + [1] * (s - t)
@@ -127,7 +104,7 @@ def sigma(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     with zero bottom entries removed.
     """
-    _require(symbol, _Q2, "sigma")
+    _require(symbol, "Q2", "sigma")
     if not symbol.beta or symbol.beta[-1] != 1:
         raise ValueError(f"sigma needs a trailing 1 in delta: {format_symbol(symbol)}")
     s, t = len(symbol.alpha), len(symbol.beta)
@@ -145,7 +122,7 @@ def theta3(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     (zero top entries removed).  The image is marked by its bottom row
     ending in two 1s, which `pi` requires.
     """
-    _require(symbol, _P3, "theta3")
+    _require(symbol, "P3", "theta3")
     s, t = len(symbol.alpha), len(symbol.beta)
     m, j = symbol.m, symbol.j
     gamma = [m + j - 1] + [a - 1 for a in symbol.alpha if a > 1]
@@ -163,7 +140,7 @@ def pi(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
 
     (zero bottom entries removed).
     """
-    _require(symbol, _Q3, "pi")
+    _require(symbol, "Q3", "pi")
     s, t = len(symbol.alpha), len(symbol.beta)
     if t - s < 1:
         raise ValueError(f"pi needs len(delta) - len(gamma) >= 1: {format_symbol(symbol)}")
@@ -179,19 +156,19 @@ def theta(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     return _theta_by_class(symbol, classify(symbol, "P"))
 
 
-def _theta_by_class(symbol: MDurfeeSymbol, cls: SymbolClass | None) -> MDurfeeSymbol:
+def _theta_by_class(symbol: MDurfeeSymbol, cls: str | None) -> MDurfeeSymbol:
     # theta on a symbol whose P class `cls` is already known
-    if cls is _P1:
+    if cls == "P1":
         return symbol
-    if cls is _P2:
+    if cls == "P2":
         return theta2(symbol)
-    if cls is _P3:
+    if cls == "P3":
         return theta3(symbol)
     raise ValueError(f"theta needs rank >= -m + 1: {format_symbol(symbol)}")
 
 
 # the Q class each P class lands in under theta
-_MATCHING_Q = {_P1: _Q1, _P2: _Q2, _P3: _Q3}
+_MATCHING_Q = {"P1": "Q1", "P2": "Q2", "P3": "Q3"}
 
 
 def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
@@ -227,7 +204,7 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
             # check id -> the symbols its first failure in this scope names
             first_bad: dict[str, dict[str, MDurfeeSymbol]] = {}
             # (symbol, P class, Q class) of each P member
-            p_members: list[tuple[MDurfeeSymbol, SymbolClass, SymbolClass | None]] = []
+            p_members: list[tuple[MDurfeeSymbol, str, str | None]] = []
             q_members: list[MDurfeeSymbol] = []
             for lam, lam_rank, lam_columns in zip(partitions, ranks, columns):
                 sym = _symbol(lam, lam_columns, m)
@@ -245,12 +222,12 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
                     p_members.append((sym, p_cls, q_cls))
                 if in_q:
                     q_members.append(sym)
-                if (p_cls is _P1) != (q_cls is _Q1):
+                if (p_cls == "P1") != (q_cls == "Q1"):
                     first_bad.setdefault("p1-equals-q1", {"symbol": sym})
             images = []
             has_p2 = has_p3 = False
             for sym, cls, sym_q_cls in p_members:
-                if cls is _P1:
+                if cls == "P1":
                     # a P1 image is the symbol itself, whose Q class is known
                     image, image_cls = sym, sym_q_cls
                     weight_kept = sym.weight == n
@@ -261,14 +238,14 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
                 images.append(image)
                 if not weight_kept:
                     first_bad.setdefault("theta-preserves-weight", {"symbol": sym})
-                if image_cls is not _MATCHING_Q[cls]:
+                if image_cls != _MATCHING_Q[cls]:
                     first_bad.setdefault("theta-lands-in-matching-class",
                                          {"symbol": sym, "image": image})
-                if cls is _P2:
+                if cls == "P2":
                     has_p2 = True
                     if sigma(image) != sym:
                         first_bad.setdefault("sigma-inverts-theta2", {"symbol": sym})
-                elif cls is _P3:
+                elif cls == "P3":
                     has_p3 = True
                     if not (len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1):
                         first_bad.setdefault("theta3-image-marker", {"image": image})

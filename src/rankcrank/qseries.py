@@ -15,7 +15,7 @@ against the table machinery in the verification suite.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, eq, gt, mul
+from operator import add, eq, gt, mul, sub
 
 from . import reordering
 from .partitions import partition_count
@@ -56,13 +56,13 @@ class TruncatedSeries:
 def euler_product(order: int) -> TruncatedSeries:
     """prod_{k=1..order} (1 - q^k), the Euler product truncated at `order`.
 
-    Computed by literal multiplication, one factor at a time in place;
+    Computed by literal multiplication, one slice subtraction per factor;
     the pentagonal sparsity of the result is a test oracle, not an input.
     """
     c = [1] + [0] * order
     for k in range(1, order + 1):
-        for i in range(order, k - 1, -1):
-            c[i] -= c[i - k]
+        # map stops at the end of c[k:]; list() reads c before the slice changes
+        c[k:] = list(map(sub, c[k:], c))
     return TruncatedSeries(order, c)
 
 

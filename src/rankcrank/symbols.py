@@ -71,16 +71,6 @@ class MDurfeeSymbol(namedtuple("MDurfeeSymbol", "m j alpha beta")):
         return tuple.__new__(cls, (m, j, alpha, beta))
 
     @property
-    def rows(self) -> int:
-        """Height of the rectangle, m + j."""
-        return self.m + self.j
-
-    @property
-    def cols(self) -> int:
-        """Width of the rectangle, j."""
-        return self.j
-
-    @property
     def weight(self) -> int:
         """Weight of the underlying partition: j(m+j) + |alpha| + |beta|."""
         return self.j * (self.m + self.j) + sum(self.alpha) + sum(self.beta)
@@ -139,7 +129,7 @@ def format_symbol(symbol: MDurfeeSymbol) -> str:
     """Serialize to the two-row text form, e.g. ``[4,3,3,2 | 3,2,2,2]_(5x3)``."""
     top = ",".join(str(v) for v in symbol.alpha)
     bottom = ",".join(str(v) for v in symbol.beta)
-    return f"[{top} | {bottom}]_({symbol.rows}x{symbol.cols})"
+    return f"[{top} | {bottom}]_({symbol.m + symbol.j}x{symbol.j})"
 
 
 _SYMBOL_RE = re.compile(

@@ -30,7 +30,8 @@ def from_symbol(symbol) -> Partition:
     heights = conjugate(symbol.alpha)
     if symbol.j == 0:
         return heights
-    rows = [symbol.j + (heights[i] if i < len(heights) else 0) for i in range(symbol.rows)]
+    rows = [symbol.j + (heights[i] if i < len(heights) else 0)
+            for i in range(symbol.m + symbol.j)]
     return Partition(rows + list(symbol.beta))
 
 

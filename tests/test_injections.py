@@ -3,7 +3,6 @@ import pytest
 from oracles import from_symbol
 from rankcrank import injections
 from rankcrank.injections import (
-    SymbolClass,
     classify,
     pi,
     sigma,
@@ -27,21 +26,21 @@ def sym(m, j, alpha=(), beta=()):
 
 
 def test_classify_p_side():
-    assert classify(sym(1, 0), "P") is SymbolClass.P1
-    assert classify(sym(1, 2, (2, 1), (2,)), "P") is SymbolClass.P1  # beta1 = j
-    assert classify(sym(1, 2, (2, 1), (1,)), "P") is SymbolClass.P2  # beta1 = j-1
-    assert classify(sym(0, 1, (1,), ()), "P") is SymbolClass.P2      # empty beta, j = 1
-    assert classify(sym(1, 3, (3, 1), (1,)), "P") is SymbolClass.P3  # beta1 <= j-2
-    assert classify(sym(1, 2, (1,), (1, 1, 1)), "P") is None         # rank too small
+    assert classify(sym(1, 0), "P") == "P1"
+    assert classify(sym(1, 2, (2, 1), (2,)), "P") == "P1"     # beta1 = j
+    assert classify(sym(1, 2, (2, 1), (1,)), "P") == "P2"     # beta1 = j-1
+    assert classify(sym(0, 1, (1,), ()), "P") == "P2"         # empty beta, j = 1
+    assert classify(sym(1, 3, (3, 1), (1,)), "P") == "P3"     # beta1 <= j-2
+    assert classify(sym(1, 2, (1,), (1, 1, 1)), "P") is None  # rank too small
 
 
 def test_classify_q_side():
     # family membership needs j = 0 or a full-height first bottom entry
-    assert classify(sym(2, 0), "Q") is SymbolClass.Q1
-    assert classify(sym(1, 1, (2, 1), (1,)), "Q") is SymbolClass.Q1  # len gap <= -1
-    assert classify(sym(1, 2, (1, 1), (2, 1, 1)), "Q") is SymbolClass.Q2
-    assert classify(sym(1, 2, (3,), (2,)), "Q") is SymbolClass.Q3    # gamma1 = m+j
-    assert classify(sym(1, 2, (2,), (1,)), "Q") is None              # m not in rank-set
+    assert classify(sym(2, 0), "Q") == "Q1"
+    assert classify(sym(1, 1, (2, 1), (1,)), "Q") == "Q1"     # len gap <= -1
+    assert classify(sym(1, 2, (1, 1), (2, 1, 1)), "Q") == "Q2"
+    assert classify(sym(1, 2, (3,), (2,)), "Q") == "Q3"       # gamma1 = m+j
+    assert classify(sym(1, 2, (2,), (1,)), "Q") is None       # m not in rank-set
 
 
 def test_classify_rejects_bad_side():
@@ -56,7 +55,7 @@ def test_theta2_worked_example():
     image = theta2(s)
     assert image == sym(1, 2, (1, 1), (2, 1, 1))
     assert image.weight == 12
-    assert classify(image, "Q") is SymbolClass.Q2
+    assert classify(image, "Q") == "Q2"
     assert sigma(image) == s
 
 
@@ -77,7 +76,7 @@ def test_theta3_worked_example():
     image = theta3(s)
     assert image == sym(1, 2, (3, 2), (2, 2, 1, 1))
     assert image.weight == 17
-    assert classify(image, "Q") is SymbolClass.Q3
+    assert classify(image, "Q") == "Q3"
     assert pi(image) == s
 
 
@@ -88,7 +87,7 @@ def test_theta3_minimal_example():
     image = theta3(s)
     assert image == sym(0, 1, (1,), (1, 1, 1))
     assert image.weight == 5
-    assert classify(image, "Q") is SymbolClass.Q3
+    assert classify(image, "Q") == "Q3"
     assert pi(image) == s
 
 
@@ -119,6 +118,21 @@ def test_injection_preconditions():
         pi(sym(1, 2, (2, 1), (1, 1)))  # gamma1 < m+j, not a theta3 image
 
 
+@pytest.mark.parametrize("op, symbol, message", [
+    (theta2, sym(1, 2, (2, 1), (2,)), "theta2 needs a P2 symbol, got P1: [2,1 | 2]_(3x2)"),
+    (theta2, sym(1, 2, (1,), (1, 1, 1)),
+     "theta2 needs a P2 symbol, got non-member: [1 | 1,1,1]_(3x2)"),
+    (theta3, sym(1, 2, (2, 1), (1,)), "theta3 needs a P3 symbol, got P2: [2,1 | 1]_(3x2)"),
+    (sigma, sym(1, 2, (3,), (2,)), "sigma needs a Q2 symbol, got Q3: [3 | 2]_(3x2)"),
+    (pi, sym(1, 2, (1, 1), (2, 1, 1)), "pi needs a Q3 symbol, got Q2: [1,1 | 2,1,1]_(3x2)"),
+    (pi, sym(1, 2, (2, 1), (1, 1)), "pi needs a Q3 symbol, got non-member: [2,1 | 1,1]_(3x2)"),
+])
+def test_precondition_error_names_both_classes(op, symbol, message):
+    with pytest.raises(ValueError) as info:
+        op(symbol)
+    assert str(info.value) == message
+
+
 def test_theta_image_weights_and_classes_exhaustive():
     for n in range(2, 16):
         for p in enumerate_partitions(n):
@@ -133,10 +147,10 @@ def test_theta_image_weights_and_classes_exhaustive():
                 assert rank_set_has_m(image)
                 q_cls = classify(image, "Q")
                 assert q_cls is not None
-                assert q_cls.name[1:] == cls.name[1:]
-                if cls is SymbolClass.P2:
+                assert q_cls[1:] == cls[1:]
+                if cls == "P2":
                     assert sigma(image) == s
-                elif cls is SymbolClass.P3:
+                elif cls == "P3":
                     assert pi(image) == s
 
 
@@ -180,7 +194,7 @@ def test_verify_injections_failure_witness(monkeypatch, table30):
     assert set(witness) == {"m", "n", "symbol"}
     symbol = parse_symbol(witness["symbol"])
     assert symbol.weight == witness["n"] and symbol.m == witness["m"]
-    assert classify(symbol, "P") is SymbolClass.P2
+    assert classify(symbol, "P") == "P2"
     assert witness == {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}
 
 
@@ -193,7 +207,7 @@ def test_verify_injections_classifies_once_per_side(monkeypatch, table30):
         for p in enumerate_partitions(n):
             for m in range(0, 4):
                 symbols += 1
-                mapped += classify(to_symbol(p, m), "P") in (SymbolClass.P2, SymbolClass.P3)
+                mapped += classify(to_symbol(p, m), "P") in ("P2", "P3")
     assert mapped > 0
     calls = 0
     real = injections.classify
@@ -216,21 +230,21 @@ def classify_with_predicates(symbol, side):
         if not rank_at_least(symbol):
             return None
         if j == 0:
-            return SymbolClass.P1
+            return "P1"
         b1 = symbol.beta[0] if symbol.beta else 0
         if b1 == j:
-            return SymbolClass.P1
+            return "P1"
         if b1 == j - 1:
-            return SymbolClass.P2
-        return SymbolClass.P3
+            return "P2"
+        return "P3"
     if not rank_set_has_m(symbol):
         return None
     if j == 0 or len(symbol.beta) - len(symbol.alpha) <= -1:
-        return SymbolClass.Q1
+        return "Q1"
     g1 = symbol.alpha[0] if symbol.alpha else 0
     if g1 < symbol.m + j:
-        return SymbolClass.Q2
-    return SymbolClass.Q3
+        return "Q2"
+    return "Q3"
 
 
 def test_classify_agrees_with_the_symbol_predicates():
@@ -244,6 +258,6 @@ def test_classify_agrees_with_the_symbol_predicates():
                 for side, member in (("P", rank_at_least), ("Q", rank_set_has_m)):
                     cls = classify(s, side)
                     assert (cls is not None) == member(s), (tuple(p), m, side)
-                    assert cls is classify_with_predicates(s, side), (tuple(p), m, side)
+                    assert cls == classify_with_predicates(s, side), (tuple(p), m, side)
                     seen.add(cls)
-    assert seen == set(SymbolClass) | {None}
+    assert seen == {"P1", "P2", "P3", "Q1", "Q2", "Q3", None}

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 from rankcrank import injections, qseries, reordering, tables
-from rankcrank.injections import SymbolClass, verify_injections
+from rankcrank.injections import verify_injections
 from rankcrank.reordering import verify_reordering
 from rankcrank.symbols import MDurfeeSymbol, to_symbol
 
@@ -49,7 +49,7 @@ def theta2_to_one_row(symbol):
 def classify_j0_as_q2(symbol, side):
     # a rectangle-free Q1 symbol read as Q2; no map's own input has j = 0
     cls = real_classify(symbol, side)
-    return SymbolClass.Q2 if cls is SymbolClass.Q1 and symbol.j == 0 else cls
+    return "Q2" if cls == "Q1" and symbol.j == 0 else cls
 
 
 def coefficient_shifted(series, n, delta):
@@ -65,6 +65,13 @@ def listing_without_third_at_5(n):
     listing = list(real_enumerate(n))
     if n == 5:
         del listing[2]
+    return iter(listing)
+
+
+def listing_with_third_twice_at_5(n):
+    listing = list(real_enumerate(n))
+    if n == 5:
+        listing.insert(3, listing[2])
     return iter(listing)
 
 
@@ -139,6 +146,10 @@ INJECTION_MUTANTS = [
            {"p1-equals-q1": {"m": 1, "n": 2, "symbol": "[1,1 | ]_(1x0)"},
             "theta-lands-in-matching-class": {"m": 1, "n": 2, "symbol": "[1,1 | ]_(1x0)",
                                               "image": "[1,1 | ]_(1x0)"}}),
+    Mutant("theta's P3 target read as Q2", injections,
+           {"_MATCHING_Q": {"P1": "Q1", "P2": "Q2", "P3": "Q2"}},
+           {"theta-lands-in-matching-class": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)",
+                                              "image": "[1 | 1,1,1]_(1x1)"}}),
     Mutant("every rank one lower", injections, {"rank": lambda lam: real_inj_rank(lam) - 1},
            {"count-gap-matches-tables": {"m": 0, "n": 2, "gap": 1, "q": 1, "p_ge": 1},
             "p-classification-covers": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"},
@@ -169,6 +180,18 @@ TAU_MUTANTS = [
                                                   "image": [4, 1]},
             "tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
                                                 "via_tau": 6, "via_moments": 7}}),
+    Mutant("listing repeats a partition of 5", reordering,
+           {"enumerate_partitions": listing_with_third_twice_at_5},
+           {"tau-case-condition": {"n": 5, "tie_break": "lex-descending",
+                                   "partition": [3, 2], "image": [3, 2], "crank": 3,
+                                   "rank_of_image": 1},
+            "tau-is-bijection": {"n": 5, "tie_break": "lex-descending", "listed": 8,
+                                 "distinct": 7, "p": 7},
+            "tau-position-in-cumulative-window": {"n": 5, "tie_break": "lex-descending",
+                                                  "position": 6, "partition": [3, 2],
+                                                  "image": [3, 2]},
+            "tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
+                                                "via_tau": 8, "via_moments": 7}}),
     Mutant("every rank negated", reordering, {"rank": lambda lam: -real_rank(lam)},
            {"tau-fixes-single-row-partition": {"n": 2, "tie_break": "lex-descending"}}),
     Mutant("every rank one higher", reordering, {"rank": lambda lam: real_rank(lam) + 1},

@@ -28,7 +28,7 @@ def test_worked_symbol_m0_durfee_square():
     # m = 0 reduces to the square case
     s = to_symbol(Partition([4, 3, 3, 2]), 0)
     assert s.j == 3
-    assert s.rows == 3 and s.cols == 3
+    assert s.m + s.j == 3 and s.j == 3
     assert s.weight == 12
     assert from_symbol(s) == Partition([4, 3, 3, 2])
 
