@@ -376,7 +376,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

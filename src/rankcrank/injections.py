@@ -32,6 +32,9 @@ a symbol outside its domain; nothing is silently coerced.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import eq, ge, is_not
+
 from .partitions import conjugate, enumerate_partitions
 from .report import CheckRecorder, VerifyReport
 from .statistics import rank, rank_set_contains
@@ -182,14 +185,15 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     through sigma and pi, theta is globally injective, and the count
     gap #Q - #P matches q(m, n) - p_ge(-m+1, n) from the given table.
 
-    Each (n, m) is one scope.  Its symbols are scanned for each check's
-    first failure, and each check is then recorded once per scope; the
-    round-trip and marker checks only in scopes holding a P2 or P3
+    Each (n, m) is one scope, whose symbols, P members and P2 and P3
+    members lie in aligned lists, so each check is one statement per
+    scope.  A check over an empty list records nothing: the round-trip
+    and marker checks are listed only for scopes holding a P2 or P3
     member.  Each symbol is classified once per side, and theta is
     applied from its P class.  A P1 image is the symbol itself, so its
-    Q class is the symbol's own; each P2/P3 image, built by the
-    precondition-checking theta2/theta3, is classified once on the Q
-    side.
+    Q class is the symbol's own and its weight is read once; each P2/P3
+    image, built by the precondition-checking theta2/theta3, is
+    classified once on the Q side.
     """
     if mmax < 0 or nmax < 2:
         raise ValueError("need mmax >= 0 and nmax >= 2")
@@ -200,70 +204,55 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
         # each symbol slices alpha from its partition's one conjugate
         columns = [conjugate(lam) for lam in partitions]
         for m in range(0, mmax + 1):
-            p_floor = 1 - m
-            # check id -> the symbols its first failure in this scope names
-            first_bad: dict[str, dict[str, MDurfeeSymbol]] = {}
-            # (symbol, P class, Q class) of each P member
-            p_members: list[tuple[MDurfeeSymbol, str, str | None]] = []
-            q_members: list[MDurfeeSymbol] = []
-            for lam, lam_rank, lam_columns in zip(partitions, ranks, columns):
-                sym = _symbol(lam, lam_columns, m)
-                in_p = lam_rank >= p_floor
-                in_q = rank_set_contains(lam, m)
-                if rank_at_least(sym) != in_p or rank_set_has_m(sym) != in_q:
-                    first_bad.setdefault("predicates-match-statistics", {"symbol": sym})
-                p_cls = classify(sym, "P")
-                q_cls = classify(sym, "Q")
-                if (p_cls is not None) != in_p:
-                    first_bad.setdefault("p-classification-covers", {"symbol": sym})
-                if (q_cls is not None) != in_q:
-                    first_bad.setdefault("q-classification-covers", {"symbol": sym})
-                if in_p:
-                    p_members.append((sym, p_cls, q_cls))
-                if in_q:
-                    q_members.append(sym)
-                if (p_cls == "P1") != (q_cls == "Q1"):
-                    first_bad.setdefault("p1-equals-q1", {"symbol": sym})
-            images = []
-            has_p2 = has_p3 = False
-            for sym, cls, sym_q_cls in p_members:
-                if cls == "P1":
-                    # a P1 image is the symbol itself, whose Q class is known
-                    image, image_cls = sym, sym_q_cls
-                    weight_kept = sym.weight == n
-                else:
-                    image = _theta_by_class(sym, cls)
-                    image_cls = classify(image, "Q")
-                    weight_kept = image.weight == sym.weight == n
-                images.append(image)
-                if not weight_kept:
-                    first_bad.setdefault("theta-preserves-weight", {"symbol": sym})
-                if image_cls != _MATCHING_Q[cls]:
-                    first_bad.setdefault("theta-lands-in-matching-class",
-                                         {"symbol": sym, "image": image})
-                if cls == "P2":
-                    has_p2 = True
-                    if sigma(image) != sym:
-                        first_bad.setdefault("sigma-inverts-theta2", {"symbol": sym})
-                elif cls == "P3":
-                    has_p3 = True
-                    if not (len(image.beta) >= 2 and image.beta[-1] == image.beta[-2] == 1):
-                        first_bad.setdefault("theta3-image-marker", {"image": image})
-                    if pi(image) != sym:
-                        first_bad.setdefault("pi-inverts-theta3", {"symbol": sym})
-            # each check is recorded in the scopes holding an instance of it
-            checks = ["predicates-match-statistics", "p-classification-covers",
-                      "q-classification-covers", "p1-equals-q1"]
-            if p_members:
-                checks += ("theta-preserves-weight", "theta-lands-in-matching-class")
-            if has_p2:
-                checks.append("sigma-inverts-theta2")
-            if has_p3:
-                checks += ("theta3-image-marker", "pi-inverts-theta3")
-            for check in checks:
-                bad = first_bad.get(check)
-                rec.expect(check, bad is None, None if bad is None else {
-                    "m": m, "n": n, **{key: format_symbol(s) for key, s in bad.items()}})
+            symbols = list(map(_symbol, partitions, columns, repeat(m)))
+            # P(-m+1, n) holds the symbols of rank >= -m + 1
+            in_p = list(map(ge, ranks, repeat(1 - m)))
+            in_q = list(map(rank_set_contains, partitions, repeat(m)))
+            p_classes = list(map(classify, symbols, repeat("P")))
+            q_classes = list(map(classify, symbols, repeat("Q")))
+            members = list(compress(symbols, in_p))
+            classes = list(compress(p_classes, in_p))
+            images = list(map(_theta_by_class, members, classes))
+            # a P1 image is the member itself: its Q class is known, and
+            # its weight is read once
+            image_classes = [q_cls if cls == "P1" else classify(image, "Q") for image, cls, q_cls
+                             in zip(images, classes, compress(q_classes, in_p))]
+            weights = [member.weight for member in members]
+            image_weights = [weight if cls == "P1" else image.weight
+                             for image, cls, weight in zip(images, classes, weights)]
+            is_p2 = list(map(eq, classes, repeat("P2")))
+            is_p3 = list(map(eq, classes, repeat("P3")))
+            p2_members, p2_images = list(compress(members, is_p2)), list(compress(images, is_p2))
+            p3_members, p3_images = list(compress(members, is_p3)), list(compress(images, is_p3))
+
+            def naming(**lists):
+                # the witness formatting the failing index's entry of each list
+                return lambda i: {"m": m, "n": n, **{key: format_symbol(listed[i])
+                                                     for key, listed in lists.items()}}
+
+            rec.expect_each("predicates-match-statistics", 0, eq,
+                            list(zip(map(rank_at_least, symbols), map(rank_set_has_m, symbols))),
+                            list(zip(in_p, in_q)), naming(symbol=symbols))
+            rec.expect_each("p-classification-covers", 0, eq,
+                            list(map(is_not, p_classes, repeat(None))), in_p,
+                            naming(symbol=symbols))
+            rec.expect_each("q-classification-covers", 0, eq,
+                            list(map(is_not, q_classes, repeat(None))), in_q,
+                            naming(symbol=symbols))
+            rec.expect_each("p1-equals-q1", 0, eq, list(map(eq, p_classes, repeat("P1"))),
+                            list(map(eq, q_classes, repeat("Q1"))), naming(symbol=symbols))
+            rec.expect_each("theta-preserves-weight", 0, eq, image_weights, weights,
+                            naming(symbol=members), eq, [n] * len(weights))
+            rec.expect_each("theta-lands-in-matching-class", 0, eq, image_classes,
+                            list(map(_MATCHING_Q.get, classes)),
+                            naming(symbol=members, image=images))
+            rec.expect_each("sigma-inverts-theta2", 0, eq, list(map(sigma, p2_images)),
+                            p2_members, naming(symbol=p2_members))
+            rec.expect_each("theta3-image-marker", 0, eq,
+                            [image.beta[-2:] for image in p3_images], [(1, 1)] * len(p3_images),
+                            naming(image=p3_images))
+            rec.expect_each("pi-inverts-theta3", 0, eq, list(map(pi, p3_images)),
+                            p3_members, naming(symbol=p3_members))
             image_set = set(images)
             rec.expect(
                 "theta-injective",
@@ -272,10 +261,10 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
             )
             rec.expect(
                 "theta-image-in-q",
-                image_set <= set(q_members),
+                image_set <= set(compress(symbols, in_q)),
                 lambda: {"m": m, "n": n},
             )
-            gap = len(q_members) - len(p_members)
+            gap = sum(in_q) - len(members)
             rec.expect(
                 "count-gap-non-negative",
                 gap >= 0,

@@ -25,7 +25,8 @@ listing behind it, so tau is undefined there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import chain, compress, count, repeat
+from operator import eq, gt, ne, sub
 
 from .partitions import Partition, enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
@@ -127,27 +128,16 @@ def case_condition_holds(lam_crank: int, difference: int) -> bool:
     return difference in (0, -1)
 
 
-def _scan(rmap: ReorderingMap, cum_crank: list[int], cum_rank: list[int]) -> tuple:
-    """One pass over the crank-ascending statistics of tau: the first
-    failing position (1-based, 0 for none) of the case condition, the
-    cumulative windows and the membership chain, the positive-rank sum
-    through tau, and ospt via tau.  It reads only `rmap.cranks`,
-    `rmap.ranks` and the weight's cumulative columns."""
-    n = rmap.n
-    positive_rank_sum = 0
-    bad_case = bad_bracket = bad_chain = 0
-    for i, (a, b) in enumerate(zip(rmap.cranks, rmap.ranks), start=1):
-        if not bad_case and not case_condition_holds(a, a - b):
-            bad_case = i
-        if not bad_bracket and not (
-                cum_crank[a + n] < i <= cum_crank[a + n + 1]
-                and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
-            bad_bracket = i
-        if not bad_chain and ((b > 0 and not a > 0) or (a > 0 and not b >= 0)):
-            bad_chain = i
-        if a > 0:
-            positive_rank_sum += b
-    return bad_case, bad_bracket, bad_chain, positive_rank_sum, ospt_via_tau(rmap)
+def _membership_chain_holds(lam_crank: int, image_rank: int) -> bool:
+    """rank(tau(lambda)) > 0 => crank(lambda) > 0 => rank(tau(lambda)) >= 0."""
+    return (image_rank <= 0 or lam_crank > 0) and (lam_crank <= 0 or image_rank >= 0)
+
+
+def _window_values(row: list[int], n: int):
+    """The statistic at positions 1, 2, ... of a listing of weight n in
+    ascending order whose value counts are `row` (value a at index a + n):
+    a repeated row[a + n] times, then None past the listing's end."""
+    return chain(chain.from_iterable(map(repeat, range(-n, n + 1), row)), repeat(None))
 
 
 def verify_reordering(nmax: int, table) -> VerifyReport:
@@ -162,13 +152,17 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     rank(tau) > 0 => crank > 0 => rank(tau) >= 0; the transfer of the
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).  Each weight is
-    listed once, with its cranks and ranks, for both tie-breaks.  Both
-    tie-breaks should sort the same statistic values into the same
-    ascending lists, so the statistics scan is reused for the second
-    tie-break when its crank and rank lists equal the first's, and runs
-    again when they differ.  The cumulative counts are running sums of
-    each weight's crank and rank rows of `table`, and the positive-rank
-    sum and ospt are read from its cells and moments; `table` must cover
+    listed once, with its cranks and ranks, for both tie-breaks.
+
+    Each check is one statement per weight and tie-break.  Position i
+    lies in both windows exactly when the i-th crank and rank equal the
+    i-th values of the weight's crank and rank rows of `table` expanded
+    in ascending order, so a passing map is cleared by a streamed
+    comparison, and the first position outside a window is searched
+    for only when it fails.  The statistics checks read only the two
+    statistic lists, so they run for the second tie-break only when
+    its lists differ from the first's.  The positive-rank sum and ospt
+    are read from the cells and moments of `table`, which must cover
     n <= nmax.
     """
     if nmax < 2:
@@ -182,17 +176,14 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         # the listing must hold each of the p(n) partitions exactly once
         listed, distinct, pn = len(partitions), len(set(partitions)), partition_count(n)
         positions = list(range(pn))
-        # M(<= a, n) and N(<= a, n) at index a + n + 1, for -n - 1 <= a <= n,
-        # each from one whole-row read
-        cum_crank = [0, *accumulate(table.crank_row(n))]
-        cum_rank = [0, *accumulate(table.rank_row(n))]
+        crank_row, rank_row = table.crank_row(n), table.rank_row(n)
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
         ospt_moments = table.ospt_moments(n)
         ospt_values = set()
-        scanned = scan = None
+        checked = None
         for tie_break in TIE_BREAKS:
             rmap = _tau(n, tie_break, listing)
-            by_crank, by_rank = rmap.by_crank, rmap.by_rank
+            by_crank, by_rank, cranks, ranks = rmap.by_crank, rmap.by_rank, rmap.cranks, rmap.ranks
             rec.expect(
                 "tau-is-bijection",
                 listed == pn == distinct
@@ -205,51 +196,55 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
                 fixed_point_check(rmap),
                 lambda: {"n": n, "tie_break": tie_break},
             )
-            # the scan reads only the two statistic lists, so a map whose
-            # lists equal the last scanned map's shares its verdicts
-            if scanned != (rmap.cranks, rmap.ranks):
-                scanned = rmap.cranks, rmap.ranks
-                scan = _scan(rmap, cum_crank, cum_rank)
-            bad_case, bad_bracket, bad_chain, positive_rank_sum, via_tau = scan
+            # the statistics checks read only the two statistic lists, so a
+            # map whose lists equal the last checked map's has its verdicts
+            if checked != (cranks, ranks):
+                checked = cranks, ranks
 
-            def statistics_witness(i: int) -> dict:
-                return {"n": n, "tie_break": tie_break,
-                        "partition": list(partitions[by_crank[i - 1]]),
-                        "image": list(partitions[by_rank[i - 1]]),
-                        "crank": rmap.cranks[i - 1], "rank_of_image": rmap.ranks[i - 1]}
+                def statistics_witness(i: int) -> dict:
+                    return {"n": n, "tie_break": tie_break,
+                            "partition": list(partitions[by_crank[i]]),
+                            "image": list(partitions[by_rank[i]]),
+                            "crank": cranks[i], "rank_of_image": ranks[i]}
 
-            rec.expect("tau-case-condition", not bad_case,
-                       lambda: statistics_witness(bad_case))
-            rec.expect(
-                "tau-position-in-cumulative-window",
-                not bad_bracket,
-                lambda: {"n": n, "tie_break": tie_break, "position": bad_bracket,
-                         "partition": list(partitions[by_crank[bad_bracket - 1]]),
-                         "image": list(partitions[by_rank[bad_bracket - 1]])},
-            )
-            rec.expect("tau-membership-chain", not bad_chain,
-                       lambda: statistics_witness(bad_chain))
-            rec.expect(
-                "tau-transfers-positive-rank-sum",
-                positive_rank_sum == expected_sum,
-                lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
-                         "via_moments": expected_sum},
-            )
-            ospt_values.add(via_tau)
-            rec.expect(
-                "ospt-tau-matches-moments",
-                via_tau == ospt_moments,
-                lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
-                         "via_moments": ospt_moments},
-            )
-            # free this tie-break's map, all but the scanned lists, before
+                def window_witness() -> dict:
+                    expected = zip(_window_values(crank_row, n), _window_values(rank_row, n))
+                    position = next(compress(count(1), map(ne, zip(cranks, ranks), expected)))
+                    return {"n": n, "tie_break": tie_break, "position": position,
+                            "partition": list(partitions[by_crank[position - 1]]),
+                            "image": list(partitions[by_rank[position - 1]])}
+
+                rec.expect_each("tau-case-condition", 0, case_condition_holds,
+                                cranks, list(map(sub, cranks, ranks)), statistics_witness)
+                rec.expect("tau-position-in-cumulative-window",
+                           all(map(eq, cranks, _window_values(crank_row, n)))
+                           and all(map(eq, ranks, _window_values(rank_row, n))),
+                           window_witness)
+                rec.expect_each("tau-membership-chain", 0, _membership_chain_holds,
+                                cranks, ranks, statistics_witness)
+                positive_rank_sum = sum(compress(ranks, map(gt, cranks, repeat(0))))
+                rec.expect(
+                    "tau-transfers-positive-rank-sum",
+                    positive_rank_sum == expected_sum,
+                    lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
+                             "via_moments": expected_sum},
+                )
+                via_tau = ospt_via_tau(rmap)
+                ospt_values.add(via_tau)
+                rec.expect(
+                    "ospt-tau-matches-moments",
+                    via_tau == ospt_moments,
+                    lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
+                             "via_moments": ospt_moments},
+                )
+            # free this tie-break's map, all but the checked lists, before
             # the next one is built
-            del rmap, by_crank, by_rank
+            del rmap, by_crank, by_rank, cranks, ranks
         rec.expect(
             "ospt-tau-tie-break-independent",
             len(ospt_values) == 1,
             lambda: {"n": n, "values": sorted(ospt_values)},
         )
         # free this weight's listing and lists before the next weight is listed
-        del listing, partitions, positions, scanned
+        del listing, partitions, positions, checked
     return rec.report("tau", {"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)})

@@ -7,15 +7,16 @@ the first counterexample.  A suite states each check once per scope:
 a weight in the identities and bounds suites, the whole range of n in
 the genfun suite, a weight and tie-break in the tau suite, and a
 weight and m in the injection suite.  Where the instances of a scope
-lie in aligned lists, the m of one weight or the n of the genfun range,
-the check is one `CheckRecorder.expect_each` call, which scans for the
-first failure only when the scope did not pass.  Otherwise it is one
-`CheckRecorder.expect` call, after the suite's own scan where a scope
-holds many instances (the symbols of one (n, m), the positions of one
-tau map).  A check is listed only once it ran on some instance: an
-`expect_each` scope with no instances records nothing, so a check
-whose every scope is empty is absent from the report rather than a
-pass.  The recorder also times the suite and assembles its report.
+lie in aligned lists (the m of one weight, the n of the genfun range,
+the positions of one tau map, the symbols of one (n, m)), the check is
+one `CheckRecorder.expect_each` call, which scans for the first failure
+only when the scope did not pass.  Otherwise it is one
+`CheckRecorder.expect` call; the tau window check clears its positions
+by a streamed comparison first.  A check is listed only once it ran on
+some instance: an `expect_each` scope with no instances records
+nothing, so a check whose every scope is empty is absent from the
+report rather than a pass.  The recorder also times the suite and
+assembles its report.
 """
 
 from __future__ import annotations
@@ -121,13 +122,14 @@ class CheckRecorder:
     def expect_each(self, check_id: str, m0: int, relation, lhs: list, rhs: list,
                     witness, relation2=None, rhs2: list | None = None) -> None:
         """Check `relation(lhs[i], rhs[i])`, and `relation2(rhs[i], rhs2[i])`
-        when given, for every i; index i stands for m = m0 + i, and the
-        lists have one length.
+        when given, for every i; the lists have one length, and index i
+        stands for instance m0 + i: an m, an n, a tau position, or a
+        symbol's index in its scope.
 
         A scope whose lists are all empty records nothing.  A passing scope
         is cleared at C level (`lhs == rhs` when `relation` is
-        `operator.eq`).  Otherwise the check fails with `witness(m)`,
-        called at once for the first failing m.
+        `operator.eq`).  Otherwise the check fails with `witness(m0 + i)`,
+        called at once for the first failing i.
         """
         if not (lhs or rhs or rhs2):
             return

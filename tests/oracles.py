@@ -4,6 +4,8 @@ Each is the plain reading of a definition, kept here to check the
 package's faster or indirect routes against.
 """
 
+from itertools import accumulate
+
 from rankcrank.partitions import Partition, conjugate
 
 
@@ -45,3 +47,28 @@ def truncated_product(a, b) -> list:
     if len(a) != len(b):
         raise ValueError("the factors must have one truncation order")
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def first_outside_windows(cranks, ranks, crank_row, rank_row, n) -> int:
+    """The first position of a tau listing outside its cumulative windows,
+    or 0 if there is none.
+
+    Position i (1-based) passes when cum[a + n] < i <= cum[a + n + 1]
+    with cum = [0, *accumulate(crank_row)] and a = cranks[i - 1], and
+    likewise for ranks[i - 1] over the rank row.
+
+    Weight 2: (1, 1) has crank -2 and rank -1, (2) crank 2 and rank 1;
+    listing (2) twice puts position 3 past both windows.
+
+    >>> first_outside_windows([-2, 2], [-1, 1], [1, 0, 0, 0, 1], [0, 1, 0, 1, 0], 2)
+    0
+    >>> first_outside_windows([-2, 2, 2], [-1, 1, 1], [1, 0, 0, 0, 1], [0, 1, 0, 1, 0], 2)
+    3
+    """
+    cum_crank = [0, *accumulate(crank_row)]
+    cum_rank = [0, *accumulate(rank_row)]
+    for i, (a, b) in enumerate(zip(cranks, ranks), start=1):
+        if not (cum_crank[a + n] < i <= cum_crank[a + n + 1]
+                and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
+            return i
+    return 0

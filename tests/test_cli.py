@@ -91,6 +91,18 @@ def test_verify_identities_json(capsys):
     assert "all checks passed" in err
 
 
+@pytest.mark.parametrize("argv", (("verify", "--suite", "injections", "--nmax", "26"),
+                                  ("verify", "--suite", "tau", "--nmax", "38")))
+def test_maps_requests_list_the_benchmark_check_sets(capsys, argv):
+    # the benchmark's maps workload refuses any change to these id sets
+    refs = json.loads((Path(__file__).parents[1] / "bench" / "references.json").read_text())
+    ref = refs["requests"][" ".join(argv)]
+    code, out, _ = run(capsys, *argv)
+    assert code == ref["exit"]
+    checks = {c.id: c.status for c in VerifyReport.from_json(out).checks}
+    assert checks == refs["check_sets"][ref["check_set"]]
+
+
 GENFUN_IDS = ["euler-inverse-counts-partitions", "ospt-series-matches-moments",
               "ospt-series-positive", "ospt-series-matches-tau"]
 

@@ -178,6 +178,19 @@ def test_verify_injections_suite(table30):
     assert rep.ok
 
 
+def test_verify_injections_lists_map_checks_only_where_a_member_exists(table30):
+    # a per-symbol check over an empty list records nothing: through n = 4
+    # no scope holds a P3 member, so neither P3 check is listed
+    ids = {c.id for c in verify_injections(0, 4, table=table30).checks}
+    assert ids == {"count-gap-matches-tables", "count-gap-non-negative",
+                   "p-classification-covers", "p1-equals-q1", "predicates-match-statistics",
+                   "q-classification-covers", "sigma-inverts-theta2", "theta-image-in-q",
+                   "theta-injective", "theta-lands-in-matching-class",
+                   "theta-preserves-weight"}
+    ids_at_5 = {c.id for c in verify_injections(0, 5, table=table30).checks}
+    assert ids_at_5 == ids | {"theta3-image-marker", "pi-inverts-theta3"}
+
+
 def test_verify_injections_rejects_bad_range(table30):
     with pytest.raises(ValueError):
         verify_injections(3, 1, table=table30)

@@ -89,10 +89,12 @@ class Shifted:
 
 
 class RowShifted:
-    """A table whose whole-row read `method(n)` holds cell m one higher at weight `at_n`."""
+    """A table whose whole-row read `method(n)` holds cell m moved by
+    `delta`, one higher unless given, at weight `at_n`."""
 
-    def __init__(self, table, method, at_n, m):
+    def __init__(self, table, method, at_n, m, delta=1):
         self._table, self._method, self._at_n, self._m = table, method, at_n, m
+        self._delta = delta
 
     def __getattr__(self, name):
         read = getattr(self._table, name)
@@ -102,7 +104,7 @@ class RowShifted:
         def shifted(n):
             row = read(n)
             if n == self._at_n:
-                row[self._m + n] += 1
+                row[self._m + n] += self._delta
             return row
         return shifted
 
@@ -160,6 +162,9 @@ INJECTION_MUTANTS = [
             "predicates-match-statistics": {"m": 0, "n": 2, "symbol": "[ | 1]_(1x1)"},
             "q-classification-covers": {"m": 0, "n": 2, "symbol": "[ | 1]_(1x1)"},
             "theta-image-in-q": {"m": 0, "n": 2}}),
+    Mutant("symbol rank predicate always true", injections,
+           {"rank_at_least": lambda symbol: True},
+           {"predicates-match-statistics": {"m": 0, "n": 2, "symbol": "[ | 1]_(1x1)"}}),
     Mutant("table q(1, 7) one high", injections, {},
            {"count-gap-matches-tables": {"m": 1, "n": 7, "gap": 1, "q": 11, "p_ge": 9}},
            lambda table: Shifted(table, "q_count", (1, 7))),
@@ -226,6 +231,11 @@ TAU_MUTANTS = [
                                                   "position": 5, "partition": [2, 2, 1],
                                                   "image": [3, 2]}},
            lambda table: RowShifted(table, "crank_row", 5, 0)),
+    Mutant("table row N(0, 6) one high", reordering, {},
+           {"tau-position-in-cumulative-window": {"n": 6, "tie_break": "lex-descending",
+                                                  "position": 7, "partition": [3, 2, 1],
+                                                  "image": [4, 1, 1]}},
+           lambda table: RowShifted(table, "rank_row", 6, 0)),
 ]
 
 

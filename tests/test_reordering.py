@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from oracles import first_outside_windows
+from test_mutants import RowShifted, listing_with_third_twice_at_5, listing_without_third_at_5
 from rankcrank import reordering
 from rankcrank.partitions import enumerate_partitions
 from rankcrank.reordering import (
@@ -234,3 +238,50 @@ def test_second_tie_break_is_checked(monkeypatch, table30):
         "tau-transfers-positive-rank-sum": {"n": 4, "tie_break": "lex-ascending",
                                             "via_tau": 0, "via_moments": 4},
     }
+
+
+def window_oracle(nmax, table):
+    """The first (n, tie-break, position) outside the cumulative windows, by
+    the literal bracket test over every tie-break's map, or None."""
+    for n in range(2, nmax + 1):
+        for tie_break in TIE_BREAKS:
+            rmap = build_tau(n, tie_break)
+            position = first_outside_windows(rmap.cranks, rmap.ranks, table.crank_row(n),
+                                             table.rank_row(n), n)
+            if position:
+                return {"n": n, "tie_break": tie_break, "position": position}
+    return None
+
+
+def suite_window_verdict(nmax, table):
+    check = {c.id: c for c in verify_reordering(nmax, table=table).checks}[
+        "tau-position-in-cumulative-window"]
+    if check.status == "pass":
+        return None
+    return {key: check.witness[key] for key in ("n", "tie_break", "position")}
+
+
+def test_window_check_matches_the_bracket_oracle_under_row_corruptions(table30):
+    # random +-1 moves of crank and rank cells, kept non-negative, through nmax 10
+    rng = random.Random(20171004)
+    failed = 0
+    for _ in range(60):
+        table = table30
+        for _ in range(rng.randint(1, 3)):
+            row_name, n = rng.choice(("crank_row", "rank_row")), rng.randint(2, 10)
+            m = rng.randint(-n, n)
+            delta = rng.choice((-1, 1)) if getattr(table, row_name)(n)[m + n] else 1
+            table = RowShifted(table, row_name, n, m, delta)
+        expected = window_oracle(10, table)
+        assert suite_window_verdict(10, table) == expected
+        failed += expected is not None
+    assert failed > 30
+
+
+@pytest.mark.parametrize("listing", (listing_without_third_at_5, listing_with_third_twice_at_5),
+                         ids=lambda listing: listing.__name__)
+def test_window_check_matches_the_bracket_oracle_on_bad_listings(monkeypatch, table30, listing):
+    monkeypatch.setattr(reordering, "enumerate_partitions", listing)
+    expected = window_oracle(8, table30)
+    assert expected is not None
+    assert suite_window_verdict(8, table30) == expected
