@@ -60,6 +60,7 @@ RANGES = {
     ("ospt", "tau"): Range(2, 40, 60),
     ("ospt", "genfun"): Range(2, 40, 100),
 }
+OSPT_METHODS = tuple(method for command, method in RANGES if command == "ospt")
 
 
 class UsageError(Exception):
@@ -122,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ospt = sub.add_parser("ospt", help="compare ospt(n) across computation routes")
     p_ospt.add_argument("--max-n", type=int, default=None)
-    p_ospt.add_argument("--methods", type=str, default="moments,tau,genfun",
-                        help="comma-separated subset of moments,tau,genfun")
+    p_ospt.add_argument("--methods", type=str, default=",".join(OSPT_METHODS),
+                        help=f"comma-separated subset of {','.join(OSPT_METHODS)}")
     return parser
 
 
@@ -328,9 +329,8 @@ def cmd_inject(args) -> int:
 
 def cmd_ospt(args) -> int:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    valid = ("moments", "tau", "genfun")
-    if not methods or any(m not in valid for m in methods):
-        raise UsageError(f"--methods must be a non-empty subset of {','.join(valid)}")
+    if not methods or any(m not in OSPT_METHODS for m in methods):
+        raise UsageError(f"--methods must be a non-empty subset of {','.join(OSPT_METHODS)}")
     # checked against every chosen method's row; the rows share one default
     max_n = min(_nmax(("ospt", m), args.max_n) for m in methods)
     values: dict[str, dict[int, int]] = {m: {} for m in methods}

@@ -1,10 +1,10 @@
 """Integer partitions: representation, enumeration, conjugation, counting.
 
 A partition of n is a weakly decreasing sequence of positive integers
-summing to n.  Partitions here are immutable tuples of parts, so they
-hash, compare lexicographically, and cost nothing to copy.  The empty
-partition (of 0) is allowed as a value but the statistics defined on
-partitions elsewhere in this package reject it.
+summing to n.  Partitions here are plain tuples of parts, so they hash,
+compare lexicographically, and cost nothing to copy.  None is validated:
+outside input enters as a symbol, validated where it is built.  The
+empty partition (of 0) is a value, but the statistics reject it.
 
 Counting is done two independent ways on purpose: `partition_count`
 uses the pentagonal-number recurrence, while `enumerate_partitions`
@@ -14,68 +14,30 @@ other, and the table builders lean on both.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
-def _weakly_decreasing_positive(parts: Iterable[int], label: str) -> tuple[int, ...]:
-    """`parts` as a plain tuple, checked to be weakly decreasing positive
-    integers; an error names the checked sequence by `label`."""
-    t = tuple(parts)
-    prev = t[0] if t else 0
-    for v in t:
-        # an exact int passes the type test at once; bool is an int subclass
-        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < 1:
-            raise ValueError(f"{label} must be positive integers, got {v!r}")
-        if v > prev:
-            raise ValueError(f"{label} must be weakly decreasing, got {t}")
-        prev = v
-    return t
-
-
-class Partition(tuple):
-    """An integer partition stored as a tuple of weakly decreasing parts.
-
-    >>> Partition([3, 1]).weight
-    4
-    >>> Partition([3, 1]) > Partition([2, 2])
-    True
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        return tuple.__new__(cls, _weakly_decreasing_positive(parts, "parts"))
-
-    @property
-    def weight(self) -> int:
-        """The number being partitioned: the sum of the parts."""
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self)})"
-
-
-def conjugate(partition: Sequence[int]) -> Partition:
+def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
     """Transpose the Ferrers diagram.
 
     Part k of the conjugate counts the parts of `partition` that are
     >= k.  Conjugation is an involution and preserves the weight.
 
-    >>> conjugate(Partition([5, 5, 1]))
-    Partition([3, 2, 2, 2, 2])
+    >>> conjugate((5, 5, 1))
+    (3, 2, 2, 2, 2)
     """
     if not partition:
-        return Partition()
+        return ()
     out = []
     count = len(partition)
     for k in range(1, partition[0] + 1):
         while partition[count - 1] < k:
             count -= 1
         out.append(count)
-    return tuple.__new__(Partition, out)  # the counts fall as k grows: no re-validation
+    return tuple(out)
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every partition of n exactly once, lexicographically decreasing.
 
     The first partition is (n,), the last is (1,)*n, and each successor
@@ -85,19 +47,18 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     Stojmenovic's ZS1).  Nothing is materialized, so weights with
     millions of partitions stream fine.
 
-    >>> [tuple(p) for p in enumerate_partitions(4)]
+    >>> list(enumerate_partitions(4))
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n == 0:
-        yield Partition()
+        yield ()
         return
     x = [n]
     h = 0 if n > 1 else -1  # index of the last part exceeding 1
-    new = tuple.__new__  # x is sorted: one copy, no re-validation
     while True:
-        yield new(Partition, x)
+        yield tuple(x)
         if h < 0:
             return
         v = x[h] - 1

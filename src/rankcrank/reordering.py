@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from operator import eq, gt, ne, sub
 
-from .partitions import Partition, enumerate_partitions, partition_count
+from .partitions import enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
 from .statistics import crank, rank
 
@@ -47,20 +47,20 @@ class ReorderingMap:
 
     n: int
     tie_break: str
-    partitions: list[Partition] = field(repr=False)
+    partitions: list[tuple[int, ...]] = field(repr=False)
     by_crank: list[int] = field(repr=False)
     by_rank: list[int] = field(repr=False)
     cranks: list[int] = field(repr=False)
     ranks: list[int] = field(repr=False)
 
     @property
-    def pairs(self) -> list[tuple[Partition, Partition]]:
+    def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """[(lambda, tau(lambda)), ...] in crank-ascending order."""
         partitions = self.partitions
         return [(partitions[i], partitions[k]) for i, k in zip(self.by_crank, self.by_rank)]
 
 
-_Listing = tuple[list[Partition], list[int], list[int]]
+_Listing = tuple[list[tuple[int, ...]], list[int], list[int]]
 
 
 def _listing(n: int) -> _Listing:
@@ -112,7 +112,7 @@ def ospt_via_tau(rmap: ReorderingMap) -> int:
 
 def fixed_point_check(rmap: ReorderingMap) -> bool:
     """tau must fix the one-part partition (n), which maximizes both statistics."""
-    top = Partition([rmap.n])
+    top = (rmap.n,)
     partitions = rmap.partitions
     # (n) alone has the largest crank, so its pair is normally the last one
     return any(partitions[i] == top and partitions[k] == top

@@ -15,8 +15,8 @@ part to read.  Note the crank of the single partition of 1 is -1 under
 this definition; the weight-1 counting conventions used by the tables
 module are a table-level adjustment, not a change to the statistic.
 
-Functions accept a `Partition` or any weakly decreasing sequence of
-positive parts; validity of the sequence is the caller's business.
+Functions accept any weakly decreasing sequence of positive parts;
+validity of the sequence is the caller's business.
 """
 
 from __future__ import annotations

@@ -37,7 +37,22 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .partitions import Partition, _weakly_decreasing_positive, conjugate
+from .partitions import conjugate
+
+
+def _weakly_decreasing_positive(parts: Iterable[int], label: str) -> tuple[int, ...]:
+    """`parts` as a plain tuple, checked to be weakly decreasing positive
+    integers; an error names the checked sequence by `label`."""
+    t = tuple(parts)
+    prev = t[0] if t else 0
+    for v in t:
+        # an exact int passes the type test at once; bool is an int subclass
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < 1:
+            raise ValueError(f"{label} must be positive integers, got {v!r}")
+        if v > prev:
+            raise ValueError(f"{label} must be weakly decreasing, got {t}")
+        prev = v
+    return t
 
 
 class MDurfeeSymbol(namedtuple("MDurfeeSymbol", "m j alpha beta")):
@@ -88,9 +103,9 @@ def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     as valid, so the symbol is built without re-checking the invariants
     its construction already guarantees.
 
-    >>> str(to_symbol(Partition([7, 7, 6, 4, 3, 3, 2, 2, 2]), 2))
+    >>> str(to_symbol((7, 7, 6, 4, 3, 3, 2, 2, 2), 2))
     '[4,3,3,2 | 3,2,2,2]_(5x3)'
-    >>> str(to_symbol(Partition([5, 5, 1]), 3))
+    >>> str(to_symbol((5, 5, 1), 3))
     '[3,2,2,2,2 | ]_(3x0)'
     """
     if m < 0:
@@ -107,8 +122,7 @@ def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurf
         j = 1
         while m + j + 1 <= length and partition[m + j] >= j + 1:
             j += 1
-    # The plain tuples below meet every invariant, so the symbol is built
-    # without re-validating them (slices of tuples are plain tuples).
+    # the plain tuples below meet every invariant: no re-validation
     return tuple.__new__(MDurfeeSymbol, (m, j, columns[j:], tuple(partition[m + j:])))
 
 

@@ -6,7 +6,7 @@ package's faster or indirect routes against.
 
 from itertools import accumulate
 
-from rankcrank.partitions import Partition, conjugate
+from rankcrank.partitions import conjugate
 
 
 def smallest_part_count(partition) -> int:
@@ -20,21 +20,21 @@ def smallest_part_count(partition) -> int:
     return partition.count(partition[-1])
 
 
-def from_symbol(symbol) -> Partition:
+def from_symbol(symbol) -> tuple:
     """The partition an m-Durfee symbol came from (inverse of `to_symbol`):
     the rectangle's rows lengthened by the column heights alpha, then the
     rows beta below it.
 
     >>> from rankcrank.symbols import MDurfeeSymbol
     >>> from_symbol(MDurfeeSymbol(2, 3, (4, 3, 3, 2), (3, 2, 2, 2)))
-    Partition([7, 7, 6, 4, 3, 3, 2, 2, 2])
+    (7, 7, 6, 4, 3, 3, 2, 2, 2)
     """
     heights = conjugate(symbol.alpha)
     if symbol.j == 0:
         return heights
     rows = [symbol.j + (heights[i] if i < len(heights) else 0)
             for i in range(symbol.m + symbol.j)]
-    return Partition(rows + list(symbol.beta))
+    return tuple(rows) + symbol.beta
 
 
 def truncated_product(a, b) -> list:

@@ -52,6 +52,13 @@ def classify_j0_as_q2(symbol, side):
     return "Q2" if cls == "Q1" and symbol.j == 0 else cls
 
 
+def classify_misses_p_at_m0_n3(symbol, side):
+    # the P members of weight 3 at m = 0 left without a class
+    if side == "P" and symbol.m == 0 and symbol.weight == 3:
+        return None
+    return real_classify(symbol, side)
+
+
 def coefficient_shifted(series, n, delta):
     """`series` (a function of the order) with coefficient n moved by `delta`."""
     def shifted(order):
@@ -133,6 +140,20 @@ INJECTION_MUTANTS = [
             "theta-lands-in-matching-class": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)",
                                               "image": "[1 | ]_(2x2)"},
             "theta3-image-marker": {"m": 0, "n": 5, "image": "[1 | ]_(2x2)"}}),
+    # the real sigma and pi beside a faulty theta2 or theta3, and a faulty
+    # classify: each map is applied only where the classes allow it
+    Mutant("theta2 returns its input", injections, {"theta2": identity},
+           {"theta-image-in-q": {"m": 0, "n": 2},
+            "theta-lands-in-matching-class": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)",
+                                              "image": "[1 | ]_(1x1)"}}),
+    Mutant("theta3 returns its input", injections, {"theta3": identity},
+           {"theta-image-in-q": {"m": 0, "n": 5},
+            "theta-lands-in-matching-class": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)",
+                                              "image": "[1 | ]_(2x2)"},
+            "theta3-image-marker": {"m": 0, "n": 5, "image": "[1 | ]_(2x2)"}}),
+    Mutant("P members of 3 at m 0 unclassified", injections,
+           {"classify": classify_misses_p_at_m0_n3},
+           {"p-classification-covers": {"m": 0, "n": 3, "symbol": "[1,1 | ]_(1x1)"}}),
     Mutant("theta2 adds a trailing 1", injections, {"theta2": theta2_extra_one},
            {"sigma-inverts-theta2": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"},
             "theta-image-in-q": {"m": 0, "n": 2},

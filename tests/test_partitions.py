@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rankcrank.partitions import (
-    Partition,
     conjugate,
     enumerate_partitions,
     partition_count,
@@ -15,42 +14,20 @@ P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
            231, 297, 385, 490, 627]
 
 
-def test_partition_validation():
-    assert Partition([3, 1]) == (3, 1)
-    assert Partition([]) == ()
-    assert Partition([5]).weight == 5
-    with pytest.raises(ValueError):
-        Partition([1, 2])
-    with pytest.raises(ValueError):
-        Partition([2, 0])
-    with pytest.raises(ValueError):
-        Partition([2, -1])
-
-
-def test_partition_repr():
-    assert repr(Partition([3, 1])) == "Partition([3, 1])"
-    assert repr(Partition([])) == "Partition([])"
-
-
-def test_weight():
-    assert Partition([4, 2, 1, 1]).weight == 8
-    assert Partition([]).weight == 0
-
-
 def test_enumeration_order_n4():
-    got = [tuple(p) for p in enumerate_partitions(4)]
+    got = list(enumerate_partitions(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_enumeration_order_n5():
-    got = [tuple(p) for p in enumerate_partitions(5)]
+    got = list(enumerate_partitions(5))
     assert got == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
                    (2, 1, 1, 1), (1, 1, 1, 1, 1)]
 
 
 def test_enumeration_edge_cases():
-    assert [tuple(p) for p in enumerate_partitions(0)] == [()]
-    assert [tuple(p) for p in enumerate_partitions(1)] == [(1,)]
+    assert list(enumerate_partitions(0)) == [()]
+    assert list(enumerate_partitions(1)) == [(1,)]
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
 
@@ -59,10 +36,10 @@ def test_enumeration_is_strictly_decreasing_lex():
     for n in range(2, 26):
         prev = None
         for p in enumerate_partitions(n):
-            assert p.weight == n
+            assert sum(p) == n
             if prev is not None:
-                assert tuple(p) < prev
-            prev = tuple(p)
+                assert p < prev
+            prev = p
 
 
 def test_counts_match_enumeration():
@@ -88,20 +65,20 @@ def test_count_rejects_negative():
 
 
 def test_conjugate_known():
-    assert tuple(conjugate(Partition([5, 5, 1]))) == (3, 2, 2, 2, 2)
-    assert tuple(conjugate(Partition([3, 1]))) == (2, 1, 1)
-    assert tuple(conjugate(Partition([]))) == ()
-    assert tuple(conjugate(Partition([1, 1, 1]))) == (3,)
+    assert conjugate((5, 5, 1)) == (3, 2, 2, 2, 2)
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate(()) == ()
+    assert conjugate((1, 1, 1)) == (3,)
 
 
 partitions_st = st.lists(st.integers(1, 15), max_size=12).map(
-    lambda parts: Partition(sorted(parts, reverse=True)))
+    lambda parts: tuple(sorted(parts, reverse=True)))
 
 
 @given(partitions_st)
 def test_conjugate_involution(p):
     assert conjugate(conjugate(p)) == p
-    assert conjugate(p).weight == p.weight
+    assert sum(conjugate(p)) == sum(p)
 
 
 def test_conjugate_transposes_counts():
@@ -127,6 +104,5 @@ def test_enumeration_matches_recursive_generator():
     for n in range(0, 31):
         got = list(enumerate_partitions(n))  # compared only once the generator is done
         assert got == list(_lex_descending(n, n))
-        for p in got:
-            assert type(p) is Partition and Partition(p) == p
+        assert all(type(p) is tuple and type(conjugate(p)) is tuple for p in got)
         assert len({id(p) for p in got}) == len(got)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import from_symbol
-from rankcrank.partitions import Partition, conjugate, enumerate_partitions
+from rankcrank.partitions import conjugate, enumerate_partitions
 from rankcrank.statistics import rank, rank_set_contains
 from rankcrank.symbols import (
     MDurfeeSymbol,
@@ -16,37 +16,37 @@ from rankcrank.symbols import (
 
 def test_worked_symbol_m1():
     # (5,4,3,2,1) with m = 1: 3x2 rectangle, staircase on both sides
-    s = to_symbol(Partition([5, 4, 3, 2, 1]), 1)
+    s = to_symbol((5, 4, 3, 2, 1), 1)
     assert s.m == 1 and s.j == 2
     assert s.alpha == (3, 2, 1)
     assert s.beta == (2, 1)
     assert s.weight == 15
-    assert from_symbol(s) == Partition([5, 4, 3, 2, 1])
+    assert from_symbol(s) == (5, 4, 3, 2, 1)
 
 
 def test_worked_symbol_m0_durfee_square():
     # m = 0 reduces to the square case
-    s = to_symbol(Partition([4, 3, 3, 2]), 0)
+    s = to_symbol((4, 3, 3, 2), 0)
     assert s.j == 3
     assert s.m + s.j == 3 and s.j == 3
     assert s.weight == 12
-    assert from_symbol(s) == Partition([4, 3, 3, 2])
+    assert from_symbol(s) == (4, 3, 3, 2)
 
 
 def test_symbol_j_zero():
     # fewer than m+1 parts: empty rectangle, everything in the top row
-    s = to_symbol(Partition([4, 2]), 3)
+    s = to_symbol((4, 2), 3)
     assert s.j == 0
     assert s.beta == ()
     assert s.alpha == (2, 2, 1, 1)
-    assert from_symbol(s) == Partition([4, 2])
+    assert from_symbol(s) == (4, 2)
 
 
 def test_symbol_empty_partition():
-    s = to_symbol(Partition([]), 2)
+    s = to_symbol((), 2)
     assert s.j == 0 and s.alpha == () and s.beta == ()
     assert s.weight == 0
-    assert from_symbol(s) == Partition([])
+    assert from_symbol(s) == ()
 
 
 def test_symbol_validation():
@@ -61,7 +61,7 @@ def test_symbol_validation():
     with pytest.raises(ValueError):
         MDurfeeSymbol(m=1, j=0, alpha=(1,), beta=(1,))  # beta needs j >= 1
     with pytest.raises(ValueError):
-        to_symbol(Partition([3, 1]), -2)
+        to_symbol((3, 1), -2)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -212,7 +212,7 @@ def test_parse_rejects_cols_exceeding_rows():
 
 
 partitions_st = st.lists(st.integers(1, 14), max_size=14).map(
-    lambda parts: Partition(sorted(parts, reverse=True)))
+    lambda parts: tuple(sorted(parts, reverse=True)))
 
 
 @given(partitions_st, st.integers(0, 10))
