@@ -1,8 +1,8 @@
 """Exact rank/crank partition statistics, their tables, and the
 combinatorial machinery relating them: rank-set membership, rectangle
 symbols, the three weight-preserving injections with their inverses,
-the crank-to-rank re-ordering of each weight class, and truncated
-series for the generating functions.  Everything is integer-exact;
+the crank-to-rank re-ordering of each weight class, and the generating
+functions as truncated coefficient lists.  Everything is integer-exact;
 floats appear only in informational asymptotic summaries.
 """
 

@@ -21,7 +21,7 @@ A class is its name: `classify` returns one of the six strings above
 
 Each split is a disjoint cover of its family, P1 = Q1 as sets, and the
 maps below send P2 into Q2 and P3 into Q3 injectively, preserving the
-weight.  `theta` dispatches on the class (identity on P1), so it is a
+weight.  `theta` dispatches on the P class (identity on P1), so it is a
 weight-preserving injection of P(-m+1, n) into Q(m, n); the count gap
 #Q - #P is therefore non-negative, which is the engine behind the
 cumulation inequalities checked in the tables module.
@@ -154,13 +154,9 @@ def pi(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
     return MDurfeeSymbol(m=symbol.m, j=symbol.j + 1, alpha=alpha, beta=beta)
 
 
-def theta(symbol: MDurfeeSymbol) -> MDurfeeSymbol:
-    """The combined injection P(-m+1, n) -> Q(m, n): dispatch by class."""
-    return _theta_by_class(symbol, classify(symbol, "P"))
-
-
-def _theta_by_class(symbol: MDurfeeSymbol, cls: str | None) -> MDurfeeSymbol:
-    # theta on a symbol whose P class `cls` is already known
+def theta(symbol: MDurfeeSymbol, cls: str | None) -> MDurfeeSymbol:
+    """The combined injection P(-m+1, n) -> Q(m, n), dispatched on `cls`,
+    the symbol's P class as `classify(symbol, "P")` gives it."""
     if cls == "P1":
         return symbol
     if cls == "P2":
@@ -213,7 +209,7 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
             p_classified = list(map(is_not, p_classes, repeat(None)))
             members = list(compress(symbols, p_classified))
             classes = list(compress(p_classes, p_classified))
-            images = list(map(_theta_by_class, members, classes))
+            images = list(map(theta, members, classes))
             image_classes = [q_cls if cls == "P1" else classify(image, "Q") for image, cls, q_cls
                              in zip(images, classes, compress(q_classes, p_classified))]
             weights = [member.weight for member in members]

@@ -1,9 +1,8 @@
 """Truncated formal power series in q with exact integer coefficients.
 
-A `TruncatedSeries` holds coefficients of q^0 .. q^N for a fixed
-truncation order N, set at construction.  It never rounds:
-coefficients are Python ints, and a read beyond the order is an error
-rather than a silent wrap.
+A series truncated at order N is a plain list of its N + 1
+coefficients of q^0 .. q^N.  It never rounds: coefficients are Python
+ints, so arithmetic cannot overflow or wrap.
 
 The module builds the two series this package cares about: the
 reciprocal Euler product, whose n-th coefficient is p(n), and the
@@ -22,38 +21,7 @@ from .partitions import partition_count
 from .report import CheckRecorder, VerifyReport
 
 
-class TruncatedSeries:
-    """A polynomial truncation of a formal power series in q."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
-        c = list(coeffs)
-        if len(c) > order + 1:
-            raise ValueError(f"{len(c)} coefficients exceed order {order}")
-        c.extend([0] * (order + 1 - len(c)))
-        self.order = order
-        self.coeffs = c
-
-    def __getitem__(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        shown = self.coeffs[: min(8, self.order + 1)]
-        tail = " ..." if self.order + 1 > 8 else ""
-        return f"TruncatedSeries(order={self.order}, coeffs={shown}{tail})"
-
-
-def euler_product(order: int) -> TruncatedSeries:
+def euler_product(order: int) -> list[int]:
     """prod_{k=1..order} (1 - q^k), the Euler product truncated at `order`.
 
     Computed by literal multiplication, one slice subtraction per factor;
@@ -63,10 +31,10 @@ def euler_product(order: int) -> TruncatedSeries:
     for k in range(1, order + 1):
         # map stops at the end of c[k:]; list() reads c before the slice changes
         c[k:] = list(map(sub, c[k:], c))
-    return TruncatedSeries(order, c)
+    return c
 
 
-def euler_inverse(order: int) -> TruncatedSeries:
+def euler_inverse(order: int) -> list[int]:
     """1 / prod (1 - q^k); coefficient n is p(n).
 
     Obtained by inverting the literal product, whose constant term is 1:
@@ -74,14 +42,14 @@ def euler_inverse(order: int) -> TruncatedSeries:
     with 1 <= i <= k, of a times coefficient k - i.  Agreement with the
     pentagonal-recurrence p(n) is then a genuine two-route check.
     """
-    terms = [(i, a) for i, a in enumerate(euler_product(order).coeffs) if i and a]
+    terms = [(i, a) for i, a in enumerate(euler_product(order)) if i and a]
     inv = [1] + [0] * order
     for k in range(1, order + 1):
         inv[k] = -sum(a * inv[k - i] for i, a in terms if i <= k)
-    return TruncatedSeries(order, inv)
+    return inv
 
 
-def ospt_numerator(order: int) -> TruncatedSeries:
+def ospt_numerator(order: int) -> list[int]:
     """The double sum whose reciprocal-Euler multiple generates ospt(n).
 
     Sum over i, j >= 0 of
@@ -116,21 +84,21 @@ def ospt_numerator(order: int) -> TruncatedSeries:
             add_term(base, 2 * i + 1, 4 * i + 2 * j + 2)
             j += 1
         i += 1
-    return TruncatedSeries(order, c)
+    return c
 
 
-def ospt_series(order: int) -> TruncatedSeries:
+def ospt_series(order: int) -> list[int]:
     """Generating function of ospt: euler_inverse times ospt_numerator.
 
     Each nonzero numerator term c q^e adds c times the p-series, shifted
     to start at q^e, to a slice of the result at C level.
     """
-    ps = euler_inverse(order).coeffs
+    ps = euler_inverse(order)
     out = [0] * (order + 1)
-    for e, c in enumerate(ospt_numerator(order).coeffs):
+    for e, c in enumerate(ospt_numerator(order)):
         if c:
             out[e:] = map(add, out[e:], map(mul, repeat(c), ps))
-    return TruncatedSeries(order, out)
+    return out
 
 
 def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
@@ -146,11 +114,11 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
     """
     rec = CheckRecorder()
     nmax = min(order, table.nmax)
-    coeffs = euler_inverse(order).coeffs
+    coeffs = euler_inverse(order)
     p = [partition_count(n) for n in range(order + 1)]
     rec.expect_each("euler-inverse-counts-partitions", 0, eq, coeffs, p,
                     lambda n: {"n": n, "coefficient": coeffs[n], "p": p[n]})
-    ospt = ospt_series(order).coeffs
+    ospt = ospt_series(order)
     moments = [table.ospt_moments(n) for n in range(1, nmax + 1)]
     rec.expect_each("ospt-series-matches-moments", 1, eq, ospt[1:nmax + 1], moments,
                     lambda n: {"n": n, "coefficient": ospt[n], "moments": moments[n - 1]})

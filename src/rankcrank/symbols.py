@@ -167,9 +167,14 @@ def parse_symbol(text: str) -> MDurfeeSymbol:
         raise ValueError(f"rectangle {rows}x{cols} has more columns than rows")
 
     def read(group: str) -> tuple[int, ...]:
+        # each comma-separated entry is one integer; spaces only around it
         body = match.group(group).strip()
         if not body:
             return ()
-        return tuple(int(tok) for tok in body.replace(" ", "").split(",") if tok)
+        tokens = [tok.strip() for tok in body.split(",")]
+        for tok in tokens:
+            if not tok.isdigit():
+                raise ValueError(f"not a symbol: {text!r} (entry {tok!r} is not one integer)")
+        return tuple(map(int, tokens))
 
     return MDurfeeSymbol(m=rows - cols, j=cols, alpha=read("top"), beta=read("bottom"))

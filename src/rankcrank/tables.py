@@ -182,13 +182,6 @@ class StatTable:
         row = self._read(self._crank, n)[0]
         return sum(map(mul, map(abs, range(-n - 3, n + 4)), row))
 
-    def spt(self, n: int) -> int:
-        """spt(n) through the moment identity n p(n) - N_2(n)/2."""
-        spt_n, odd = self._spt_from_moment(n, self.moment_rank(2, n))
-        if odd is not None:
-            raise ArithmeticError(f"2n p(n) - N_2(n) is odd at n = {n}; table is corrupt")
-        return spt_n
-
     def _spt_from_moment(self, n: int, rank_moment_2: int) -> tuple:
         """(spt(n), None) from N_2(n) = `rank_moment_2`, by n p(n) - N_2(n)/2.
 
@@ -205,10 +198,6 @@ class StatTable:
         if self._spt is None:
             raise ValueError(f"{self.provenance!r} table carries no smallest-part tally")
         return self._spt[n]
-
-    @property
-    def has_spt_tally(self) -> bool:
-        return self._spt is not None
 
     def ospt_moments(self, n: int) -> int:
         """ospt(n) = sum over m >= 1 of m (M(m, n) - N(m, n))."""
@@ -550,7 +539,7 @@ def verify_identities(table: StatTable) -> VerifyReport:
         rec.expect("spt-moment-routes-agree",
                    odd is None and 2 * spt_from_rank == m2_crank - m2_rank,
                    odd or (lambda: {"n": n, "spt": spt_from_rank, "M2-N2": m2_crank - m2_rank}))
-        if table.has_spt_tally:
+        if table._spt is not None:
             rec.expect("spt-tally-matches-moments",
                        odd is None and table.spt_tally(n) == spt_from_rank,
                        odd or (lambda: {"n": n, "tally": table.spt_tally(n),

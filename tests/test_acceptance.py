@@ -108,8 +108,7 @@ def test_criterion_08_moment_identities(table60):
         m2 = table60.moment_crank(2, n)
         n2 = table60.moment_rank(2, n)
         assert m2 == 2 * n * pn
-        assert 2 * table60.spt(n) == 2 * n * pn - n2
-        assert table60.spt(n) == table60.spt_tally(n)
+        assert 2 * table60.spt_tally(n) == 2 * n * pn - n2
         for k in (1, 2, 3):
             assert table60.moment_crank(2 * k, n) > table60.moment_rank(2 * k, n)
 
@@ -126,7 +125,7 @@ def test_criterion_09_bound_chain(table60):
             assert pn - table60.crank_count(0, n) == 4  # tight here
     for n in range(1, 61):
         pn = partition_count(n)
-        spt_n = table60.spt(n)
+        spt_n = table60.spt_tally(n)
         assert spt_n * spt_n <= 2 * n * pn * pn
         # weight-1 row carries the sign convention; the actual
         # statistic sum there is |crank((1))| = 1
@@ -135,7 +134,7 @@ def test_criterion_09_bound_chain(table60):
         assert abs_sum * abs_sum <= 2 * n * pn * pn
     for n in range(5, 61):
         pn = partition_count(n)
-        spt_n = table60.spt(n)
+        spt_n = table60.spt_tally(n)
         assert spt_n * spt_n <= n * pn * pn
         assert (6 * n * pn * pn * tables.PI_SQ_LO_DEN
                 <= tables.PI_SQ_LO_NUM * spt_n * spt_n)

@@ -308,6 +308,14 @@ def test_inject_invalid_symbol_error_names_alpha(capsys):
     assert err.startswith("usage error: ") and "alpha" in err
 
 
+def test_inject_symbol_entry_with_inner_space_exits_2(capsys):
+    # "1 2" is not read as 12: the symbol is a usage error
+    code, out, err = run(capsys, "inject", "--m", "12", "--n", "25",
+                         "--case", "P2", "--symbol", "[1 2 | ]_(13x1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: not a symbol: ")
+
+
 def test_inject_empty_class(capsys):
     code, _, err = run(capsys, "inject", "--m", "3", "--n", "2", "--case", "P3")
     assert code == 1
@@ -369,7 +377,7 @@ def test_ospt_disagreement_exits_1(capsys, monkeypatch):
 
     def off_at_five(order):
         series = original(order)
-        series.coeffs[5] += 1
+        series[5] += 1
         return series
 
     monkeypatch.setattr(qseries, "ospt_series", off_at_five)

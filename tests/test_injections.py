@@ -95,12 +95,15 @@ def test_theta_dispatch():
     p1 = sym(1, 2, (2, 1), (2,))
     p2 = sym(1, 2, (2, 2, 1), (1,))
     p3 = sym(1, 3, (3, 1), (1,))
-    assert theta(p1) is p1  # identity on P1, with j >= 1 and with j = 0
-    assert theta(sym(2, 0, (2, 1))) == sym(2, 0, (2, 1))
-    assert theta(p2) == theta2(p2)
-    assert theta(p3) == theta3(p3)
+    p1_j0 = sym(2, 0, (2, 1))
+    # identity on P1, with j >= 1 and with j = 0
+    assert theta(p1, classify(p1, "P")) is p1
+    assert theta(p1_j0, classify(p1_j0, "P")) is p1_j0
+    assert theta(p2, classify(p2, "P")) == theta2(p2)
+    assert theta(p3, classify(p3, "P")) == theta3(p3)
+    outside = sym(1, 2, (1,), (1, 1, 1))  # outside the rank family
     with pytest.raises(ValueError):
-        theta(sym(1, 2, (1,), (1, 1, 1)))  # outside the rank family
+        theta(outside, classify(outside, "P"))
 
 
 def test_injection_preconditions():
@@ -133,6 +136,28 @@ def test_precondition_error_names_both_classes(op, symbol, message):
     assert str(info.value) == message
 
 
+# Each guard of sigma and pi past its class check, with a symbol of the
+# map's own Q class just outside the guard (rejected with this text) and
+# the nearest one just inside it (mapped to this image).
+@pytest.mark.parametrize("op, outside, message, inside, image", [
+    (sigma, "[ | 2,2]_(3x2)", "sigma needs a trailing 1 in delta: [ | 2,2]_(3x2)",
+     "[ | 2,1]_(3x2)", "[1,1 | 1]_(3x2)"),
+    (pi, "[1 | 1]_(1x1)", "pi needs len(delta) - len(gamma) >= 1: [1 | 1]_(1x1)",
+     "[1 | 1,1]_(1x1)", "[ | ]_(2x2)"),
+    (pi, "[2 | 2,2]_(2x2)", "pi needs delta to end in two 1s: [2 | 2,2]_(2x2)",
+     "[2 | 2,1,1]_(2x2)", "[1 | ]_(3x3)"),
+    (pi, "[2 | 2,1]_(2x2)", "pi needs delta to end in two 1s: [2 | 2,1]_(2x2)",
+     "[2 | 2,1,1]_(2x2)", "[1 | ]_(3x3)"),
+])
+def test_map_guard_boundaries(op, outside, message, inside, image):
+    wanted = "Q2" if op is sigma else "Q3"
+    assert classify(parse_symbol(outside), "Q") == classify(parse_symbol(inside), "Q") == wanted
+    with pytest.raises(ValueError) as info:
+        op(parse_symbol(outside))
+    assert str(info.value) == message
+    assert op(parse_symbol(inside)) == parse_symbol(image)
+
+
 def test_theta_image_weights_and_classes_exhaustive():
     for n in range(2, 16):
         for p in enumerate_partitions(n):
@@ -142,7 +167,7 @@ def test_theta_image_weights_and_classes_exhaustive():
                 assert (cls is not None) == rank_at_least(s)
                 if cls is None:
                     continue
-                image = theta(s)
+                image = theta(s, cls)
                 assert image.weight == n
                 assert rank_set_has_m(image)
                 q_cls = classify(image, "Q")
@@ -160,9 +185,10 @@ def test_theta_injective_small():
             seen = {}
             for p in enumerate_partitions(n):
                 s = to_symbol(p, m)
-                if classify(s, "P") is None:
+                cls = classify(s, "P")
+                if cls is None:
                     continue
-                image = theta(s)
+                image = theta(s, cls)
                 assert image not in seen, (tuple(p), m)
                 seen[image] = s
 

@@ -63,7 +63,7 @@ def coefficient_shifted(series, n, delta):
     """`series` (a function of the order) with coefficient n moved by `delta`."""
     def shifted(order):
         out = series(order)
-        out.coeffs[n] += delta
+        out[n] += delta
         return out
     return shifted
 

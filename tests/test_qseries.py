@@ -1,9 +1,6 @@
-import pytest
-
 from oracles import truncated_product
 from rankcrank.partitions import partition_count
 from rankcrank.qseries import (
-    TruncatedSeries,
     euler_inverse,
     euler_product,
     ospt_numerator,
@@ -14,64 +11,39 @@ from rankcrank.qseries import (
 OSPT = [0, 1, 1, 1, 2, 2, 4, 5, 7, 10, 13]
 
 
-def test_construction_and_padding():
-    s = TruncatedSeries(4, [1, 2])
-    assert s.coeffs == [1, 2, 0, 0, 0]
-    assert s[1] == 2 and s[4] == 0
-    with pytest.raises(ValueError):
-        TruncatedSeries(1, [1, 2, 3])
-    with pytest.raises(ValueError):
-        TruncatedSeries(-1)
-    with pytest.raises(IndexError):
-        s[5]
-    with pytest.raises(IndexError):
-        s[-1]
-
-
-def test_zero_and_one():
-    assert TruncatedSeries(3).coeffs == [0, 0, 0, 0]
-    assert TruncatedSeries(3, [1]).coeffs == [1, 0, 0, 0]
-
-
 def test_euler_product_pentagonal_signs():
     # sparse +-1 pattern at generalized pentagonal exponents
-    assert euler_product(7).coeffs == [1, -1, -1, 0, 0, 1, 0, 1]
+    assert euler_product(7) == [1, -1, -1, 0, 0, 1, 0, 1]
     s = euler_product(30)
     expected = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1}
-    for n in range(31):
-        assert s[n] == expected.get(n, 0)
+    assert s == [expected.get(n, 0) for n in range(31)]
 
 
 def test_euler_inverse_counts_partitions():
     s = euler_inverse(100)
-    assert s.coeffs[:6] == [1, 1, 2, 3, 5, 7]
+    assert s[:6] == [1, 1, 2, 3, 5, 7]
     assert s[100] == 190569292
-    for n in range(101):
-        assert s[n] == partition_count(n)
+    assert s == [partition_count(n) for n in range(101)]
 
 
 def test_product_times_inverse_is_one():
     for order in range(41):
-        one = truncated_product(euler_product(order).coeffs, euler_inverse(order).coeffs)
+        one = truncated_product(euler_product(order), euler_inverse(order))
         assert one == [1] + [0] * order
 
 
 def test_ospt_series_is_inverse_times_numerator():
     for order in range(41):
-        expected = truncated_product(euler_inverse(order).coeffs, ospt_numerator(order).coeffs)
-        assert ospt_series(order) == TruncatedSeries(order, expected)
+        expected = truncated_product(euler_inverse(order), ospt_numerator(order))
+        assert ospt_series(order) == expected
 
 
 def test_ospt_numerator_small():
-    num = ospt_numerator(4)
-    assert num.coeffs == [0, 1, 0, -1, 0]
+    assert ospt_numerator(4) == [0, 1, 0, -1, 0]
 
 
 def test_ospt_series_values():
-    s = ospt_series(10)
-    assert s[0] == 0
-    for n in range(1, 11):
-        assert s[n] == OSPT[n]
+    assert ospt_series(10) == OSPT
 
 
 def test_ospt_series_matches_moments(table30):

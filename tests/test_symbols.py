@@ -196,11 +196,16 @@ def test_format_empty_rows():
     assert format_symbol(s) == "[ | ]_(2x0)"
     assert parse_symbol("[ | ]_(2x0)") == s
     assert parse_symbol("[|]_(2x0)") == s
+    # spaces around an entry are allowed
+    assert parse_symbol("[ 4 ,3, 3 ,2 | 3 , 2,2,2 ]_(5x3)") == parse_symbol(
+        "[4,3,3,2 | 3,2,2,2]_(5x3)")
 
 
 def test_parse_rejects_garbage():
     for bad in ("", "[1 | 2]", "[1 | 2]_(1x2)", "[a | ]_(2x1)",
-                "[1,2 | 1]_(2x1)", "[1 | 1]_2x1"):
+                "[1,2 | 1]_(2x1)", "[1 | 1]_2x1",
+                # an entry is one integer: no inner space, no empty entry
+                "[1 2 | ]_(13x1)", "[,1 | ]_(3x1)", "[1, | 1]_(2x1)"):
         with pytest.raises(ValueError):
             parse_symbol(bad)
 

@@ -167,7 +167,7 @@ def test_moments():
 def test_spt_three_routes():
     t = tables.build(10)
     for n in range(1, 11):
-        assert t.spt(n) == SPT[n]
+        assert t._spt_from_moment(n, t.moment_rank(2, n)) == (SPT[n], None)
         assert t.spt_tally(n) == SPT[n]
         assert spt_direct(n) == SPT[n]
         # moment identity route
@@ -185,13 +185,13 @@ def test_bounds_on_n():
     with pytest.raises(ValueError):
         t.rank_count(0, 9)
     with pytest.raises(ValueError):
-        t.spt(0)
+        t.spt_tally(0)
     with pytest.raises(ValueError):
         tables.build(0)
 
 
 CELL_READS = ("rank_count", "crank_count", "q_count", "cum_rank", "cum_crank", "p_ge")
-WEIGHT_READS = ("rank_row", "crank_row", "abs_crank_moment", "spt", "spt_tally", "ospt_moments")
+WEIGHT_READS = ("rank_row", "crank_row", "abs_crank_moment", "spt_tally", "ospt_moments")
 
 
 @pytest.mark.parametrize("build_table", [tables.build, tables.build_accelerated])
@@ -255,11 +255,10 @@ def test_accelerated_rows_do_not_depend_on_nmax(accel100):
 
 def test_accelerated_has_no_tally():
     ta = tables.build_accelerated(10)
-    assert not ta.has_spt_tally
     with pytest.raises(ValueError):
         ta.spt_tally(5)
     # the moment route still works
-    assert ta.spt(5) == 14
+    assert ta._spt_from_moment(5, ta.moment_rank(2, 5)) == (14, None)
 
 
 def test_statistics_match_table_rows(table30):
@@ -426,8 +425,6 @@ def test_odd_spt_numerator_fails_spt_checks_without_raising():
     t = tables.build(6)
     t._rank[6][3 + 6 + 3] += 1
     odd = {"n": 6, "2np-N2": 43}
-    with pytest.raises(ArithmeticError):
-        t.spt(6)
     identities = tables.verify_identities(t)
     assert {c.id: c.witness for c in identities.checks if c.status == "fail"} == {
         "cum-chain-nonnegative-m": {"n": 6, "m": 4, "cum_rank_prev": 11, "cum_crank": 10,
