@@ -9,7 +9,10 @@ empty partition (of 0) is a value, but the statistics reject it.
 Counting is done two independent ways on purpose: `partition_count`
 uses the pentagonal-number recurrence, while `enumerate_partitions`
 streams every partition explicitly.  Tests cross-check one against the
-other, and the table builders lean on both.
+other.  The map suites (injections, reordering) list partitions with
+`enumerate_partitions`; the table checks and the series backend read
+p(n) from the recurrence, and the enumeration table builder uses
+neither: it walks its own partitions.
 """
 
 from __future__ import annotations

@@ -27,16 +27,18 @@ table level only; `statistics.crank` still maps the partition (1) to
 
 Two builders with recorded provenance:
 
-* `build` walks the ones-free partitions mu of each weight w <= nmax
-  once, in place and in lex-decreasing order.  Every partition of n is
-  such a mu plus a block of ones, and the rank, crank, rank-set and
-  smallest-part count of mu + 1^omega follow from mu in closed form,
-  so that one walk per weight tallies every row n <= nmax statistic by
-  statistic.  A part is credited once for the whole run of partitions
-  that keep it at its index, not once per partition.  It is the
-  required backend and the oracle for everything else, and it lists
-  its partitions itself: it neither calls `enumerate_partitions` nor
-  reads the series backend.
+* `build` walks the partitions nu into parts >= 3 of each weight
+  u <= nmax once, in place and in lex-decreasing order.  Every
+  partition of n is such a nu plus a block of 2s and a block of ones,
+  and the rank, crank, rank-set and smallest-part count of
+  nu + 2^t + 1^omega follow in closed form from nu, t and omega, so
+  that one walk per weight tallies every row n <= nmax statistic by
+  statistic.  A part >= 4 is credited once for the whole run of
+  partitions that keep it at its index, not once per partition; the
+  3s and 2s are counted from the length tallies.  It is the required
+  backend and the oracle for everything else, and it lists its
+  partitions itself: it neither calls `enumerate_partitions` nor reads
+  the series backend.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
@@ -206,14 +208,15 @@ class StatTable:
 
 
 def build(nmax: int) -> StatTable:
-    """Tally every table cell from one walk over the ones-free partitions
-    of each weight w = 2..nmax.
+    """Tally every table cell from one walk over the partitions nu into
+    parts >= 3 of each weight u = 3..nmax.
 
-    Every partition of n is mu + 1^omega with mu free of ones, so the
-    walks meet every ones-free mu of weight w <= nmax exactly once and
-    credit it to all the rows n = w + omega, w <= n <= nmax, in closed
-    form.  With L = len(mu), mu' its conjugate, and every count stored
-    at index m + n:
+    Every partition of n is mu + 1^omega with mu free of ones, and every
+    ones-free mu of weight w is nu + 2^t with nu's parts >= 3 and
+    u = w - 2t.  So the walks meet every mu of weight w <= nmax once,
+    through its nu, and credit it to all the rows n = w + omega,
+    w <= n <= nmax, in closed form.  With L = len(mu), mu' its conjugate,
+    and every count stored at index m + n:
 
     * rank: mu_1 - L - omega, so index mu_1 - L + w for every omega
       (for mu = () the row-n partition is 1^n, rank index 1);
@@ -228,20 +231,32 @@ def build(nmax: int) -> StatTable:
       one short of the tail, so the two never join into one interval;
       the missing cell sits at the constant n - m = w - L + 1.
 
-    The walk over weight w lists its ones-free partitions in
-    lex-decreasing order, in place, with Zoghbi and Stojmenovic's ZS1
-    successor stripped of ones: take the last part x_h >= 3 and the
-    budget B = x_h + 2 t of it and the t 2s after it; when x_h = 3, B is
-    odd, so step back to x_(h-1) >= 3 and add it to B (with no index to
-    step back to, the walk ends); then refill greedily from v = x_h - 1
-    as v^q and the remainder r, where r = 1 becomes v^(q-1), v - 1, 2.
-    The pair (mu_1, L) and the smallest-part multiplicity, which the
-    refill has just written, are tallied per partition.  The points
-    k - mu_k and the crank steps at mu_k are fixed by the pair (k, mu_k)
-    and w, so each part >= 3 is credited once for the whole run of
-    partitions that keep it at index k, when it changes or the walk
-    ends.  The 2s are counted after the walk instead: index k holds a 2
-    in every partition longer than k that has no part >= 3 there.
+    The walk over weight u lists its nu in lex-decreasing order, in
+    place, with Zoghbi and Stojmenovic's ZS1 successor stripped of parts
+    below 3.  It keeps the parts >= 4 and counts the 3s after them.
+    Take the last part x_h >= 4 and the budget B of it and those 3s;
+    refill greedily from v = x_h - 1 as v^q and the remainder r, where
+    r = 1 or 2 becomes v^(q-1), v + r - 3, 3, and r = 1 at v = 4 becomes
+    4^(q-2), 3, 3, 3.  When v = 3 and 3 does not divide B, or v = 4 and
+    B = 5, no refill fits: step back to x_(h-1) and add it to B (with no
+    index to step back to, the walk ends).  The pair (nu_1, len(nu)) and
+    the smallest-part multiplicity, which the refill has just written,
+    are tallied per partition.  The points k - mu_k and the crank steps
+    at mu_k are fixed by the pair (k, mu_k) and w, so each part >= 4 is
+    credited once for the whole run of partitions that keep it at index
+    k, when the walk takes it off.  The 3s are counted after the walk:
+    index k holds a 3 in every nu longer than k that has no part >= 4
+    there.
+
+    The 2s are credited in closed form, as the ones are.  mu = nu + 2^t
+    has (mu_1, L) = (nu_1, len(nu) + t), or (2, t) for nu = (), so the
+    tallies of weight w by rank index and by L are those of its own nu
+    plus weight w - 2's moved up one cell, seeded by mu = (2) at w = 2,
+    and the tally by mu_1 adds weight w - 2's in place.  The smallest
+    part of mu has the multiplicity of nu's at t = 0 and t otherwise.  A
+    part >= 3 keeps its index and value for every t, so its credits run
+    on in one buffer per parity of w; index k holds a 2 in every mu
+    longer than k whose nu is not.
 
     The walk records each contribution at the row where it starts (and,
     for the crank, where it stops); one sweep over n sums them.
@@ -253,6 +268,7 @@ def build(nmax: int) -> StatTable:
         raise ValueError("nmax must be >= 1")
     width = 2 * nmax + 1
     q_off = nmax + 2  # rank-set cell m sits at m + q_off
+    span = nmax + 2  # held row length: values to nmax, and 3 at nmax = 2
     # Indexed by the weight w of mu; w = 0 holds mu = () alone.
     rank_at = [[0] * width for _ in range(nmax + 1)]        # by rank index
     top_at = [[0] * (nmax + 1) for _ in range(nmax + 1)]    # by mu_1
@@ -260,84 +276,94 @@ def build(nmax: int) -> StatTable:
     points_at = [[0] * (width + 4) for _ in range(nmax + 1)]  # by k - mu_k
     smallest_at = [0] * (nmax + 1)  # smallest-part multiplicities
     # crank_step[n][c]: cranks in row n whose index drops from c + 1 to c
-    # (n = w + mu_k runs to 2 nmax; rows past nmax are never read)
-    crank_step = [[0] * (width + 1) for _ in range(2 * nmax + 1)]
-    rank_at[0][1] = top_at[0][1] = length_at[0][0] = 1  # mu = ()
+    # (a step at n = w + mu_k > nmax is never read, so it is not credited)
+    crank_step = [[0] * (width + 1) for _ in range(nmax + 1)]
+    rank_at[0][1] = length_at[0][0] = 1  # mu = ()
+    nu_count = [1] + [0] * nmax  # the nu of weight u; nu = () at u = 0
+    # By the parity of w, over every weight u <= w of that parity:
+    # held[k * span + v], the mu with mu_k = v (set anew for v = 2, 3
+    # after each walk), and nu_length[s], the nu of length s.
+    held_by_parity = [[0] * (span * (nmax // 2)) for _ in range(2)]
+    nu_length_by_parity = [[0] * (nmax // 2 + 1) for _ in range(2)]
     for w in range(2, nmax + 1):
-        span, longest = w + 1, w // 2 + 1
-        shape = [0] * (span * longest)  # shape[mu_1 * longest + L]: partitions
-        held = [0] * (span * (w // 2))  # held[k * span + v]: partitions with mu_k = v
-        x = [w] if w > 2 else []  # the parts >= 3; `twos` 2s follow them
-        twos = 0 if w > 2 else 1
-        born = [0] * len(x)  # born[k]: the partition from which x[k] holds its value
-        mult = 1  # the multiplicity of x[-1] while twos = 0
-        smallest = 0
-        c = 0  # the partitions of w before this one
-        while True:
-            size = len(x) + twos
-            shape[(x[0] if x else 2) * longest + size] += 1
-            smallest += twos or mult
-            h = size - twos - 1
-            if h < 0:
-                break  # 2^(w/2), the last partition of even w
-            v = x[h] - 1
-            if v == 2 and not h:
-                break  # (3, 2^t), the last partition of odd w
-            c += 1
-            budget = v + 1 + 2 * twos
-            # each part that changes is credited with its run, c - born[k]
-            if v == 2:  # x_h = 3 leaves an odd budget: step back to x_(h-1) >= 3
-                held[h * span + 3] += c - born[h]
-                h -= 1
-                v = x[h] - 1
-                budget += v + 1
-                if v == 2:  # (..., 3, 3, 2^t) -> (..., 2^(t+3))
-                    held[h * span + 3] += c - born[h]
-                    del x[h:], born[h:]
-                    twos = budget // 2
-                    continue
-            held[h * span + v + 1] += c - born[h]
-            del x[h:], born[h:]
-            # refill greedily: v^q and r, or v^(q-1), v - 1, 2 for r = 1
-            q, r = divmod(budget, v)
-            if r == 1:
-                x += [v] * (q - 1)
-                if v == 3:
-                    twos = 2
-                else:
-                    x.append(v - 1)
-                    twos = 1
-            elif r == 2:
-                x += [v] * q
-                twos = 1
-            else:
-                x += [v] * q
-                if r:
-                    x.append(r)
-                twos = 0
-                mult = 1 if r else q
-            born += [c] * (len(x) - h)
-        c += 1
-        for k, v in enumerate(x):
-            held[k * span + v] += c - born[k]
         rank_w, top_w, length_w = rank_at[w], top_at[w], length_at[w]
-        for top in range(2, span):
-            for size in range(1, longest):
-                if count := shape[top * longest + size]:
-                    rank_w[top - size + w] += count
-                    top_w[top] += count
-                    length_w[size] += count
-        smallest_at[w] = smallest
+        held, nu_length = held_by_parity[w % 2], nu_length_by_parity[w % 2]
+        smallest = 0
+        if w > 2:
+            longest = w // 3 + 1
+            shape = [0] * ((w + 1) * longest)  # shape[nu_1 * longest + s]: partitions
+            x = [w] if w > 3 else []  # the parts >= 4; `threes` 3s follow them
+            threes = 0 if w > 3 else 1
+            born = [0] * len(x)  # born[k]: the partition from which x[k] holds its value
+            mult = 1  # the multiplicity of x[-1] while threes = 0
+            c = 0  # the partitions of w so far, this one included
+            while True:
+                c += 1
+                shape[(x[0] if x else 3) * longest + len(x) + threes] += 1
+                smallest += threes or mult
+                if not x:
+                    break  # 3^(w/3), the last partition when 3 divides w
+                # each part that changes is credited with its run, c - born[k]
+                part = x.pop()
+                held[len(x) * span + part] += c - born.pop()
+                budget = part + 3 * threes
+                # no refill from v = part - 1 fits: step back, adding the part before to B
+                while x and (part == 4 and budget % 3 or part == budget == 5):
+                    part = x.pop()
+                    held[len(x) * span + part] += c - born.pop()
+                    budget += part
+                if part == 4 and budget % 3 or part == budget == 5:
+                    break  # no index to step back to: the last partition
+                h = len(x)
+                v = part - 1
+                q, r = divmod(budget, v)
+                if v == 3:  # 3^q
+                    threes = q
+                elif v == 4 and r == 1:  # 4^(q-2), 3, 3, 3
+                    x += [4] * (q - 2)
+                    threes = 3
+                elif r in (1, 2):  # v^(q-1), v + r - 3, 3
+                    x += [v] * (q - 1)
+                    if v + r - 3 == 3:
+                        threes = 2
+                    else:
+                        x.append(v + r - 3)
+                        threes = 1
+                else:  # v^q, then r unless r = 0
+                    x += [v] * q
+                    if r > 3:
+                        x.append(r)
+                    threes, mult = int(r == 3), 1 if r else q
+                born += [c] * (len(x) - h)
+            nu_count[w] = c
+            for top in range(3, w + 1):
+                for size in range(1, longest):
+                    if count := shape[top * longest + size]:
+                        rank_w[top - size + w] += count
+                        top_w[top] += count
+                        length_w[size] += count
+                        nu_length[size] += count
+            # mu = nu + 2^t for t >= 1 is a mu of weight w - 2 with one 2 more
+            rank_w[1:] = map(add, rank_w[1:], rank_at[w - 2])
+            top_w[:] = map(add, top_w, top_at[w - 2])
+            length_w[1:] = map(add, length_w[1:], length_at[w - 2])
+        else:
+            rank_w[3] = top_w[2] = length_w[1] = 1  # mu = (2)
+        smallest_at[w] = smallest + sum(t * nu_count[w - 2 * t] for t in range(1, w // 2 + 1))
         points = points_at[w]
-        longer = c  # partitions with more than k parts
+        longer = sum(length_w)  # mu with more than k parts
+        nu_longer = sum(nu_length)  # nu with more than k parts
         for k in range(w // 2):
             longer -= length_w[k]
+            nu_longer -= nu_length[k]
             row = k * span
-            held[row + 2] = longer - sum(held[row + 3:row + span])
-            for v in range(2, span):
+            held[row + 3] = nu_longer - sum(held[row + 4:row + w + 1])
+            held[row + 2] = longer - nu_longer
+            for v in range(2, w + 1):
                 if count := held[row + v]:
                     points[k - v + q_off] += count
-                    crank_step[w + v][w + k] += count
+                    if w + v <= nmax:
+                        crank_step[w + v][w + k] += count
 
     rank_rows: list = [None]
     crank_rows: list = [None]

@@ -499,6 +499,17 @@ def test_desk_request_stdout_unchanged(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]
 
 
+# The same pin for the enumeration backend at the top of its range, so
+# that no change to its walk or its closed-form credits moves a byte.
+ENUMERATED_TABLE_SHA256 = "a0615c2ff0888b0ce44284f3604c61527f362d39591e1c71d2452cdd1b30a5b8"
+
+
+def test_enumerated_table_stdout_unchanged(capsys):
+    code, out, _ = run(capsys, "table", "--stat", "both", "--nmax", "60", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATED_TABLE_SHA256
+
+
 # README's "Supported ranges" rows, by request cell, and the RANGES rows
 # each restates; the ospt row lists one cap per method.
 README_RANGE_ROWS = {

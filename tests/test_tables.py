@@ -74,10 +74,18 @@ def test_q_rows_small():
 
 def test_build_matches_direct_tally():
     # Row n of build(n) and of build(30) against one pass over the
-    # partitions of n, for every n <= 30.  Every case of the walk's
-    # successor occurs by weight 12: w = 2, w = 3 (no successor), the step
-    # back on an odd budget ((5, 3, 2, 2) -> (4, 4, 4) and (3, 3, 2) ->
-    # (2, 2, 2, 2)), the remainder-1 refill and v = 3 ending in (2, 2).
+    # partitions of n, for every n <= 30.  Each branch of the walk over
+    # the partitions into parts >= 3 first fires at the weight in
+    # brackets: the seed mu = (2) [2]; the end on 3^(u/3) [3: (3)]; the end
+    # with no index to step back to, on x_h = 4 [4: (4)] and on B = 5
+    # [5: (5)]; the refill v^(q-1), v + r - 3, 3 ending in two 3s
+    # [6: (6) -> (3, 3)] and in one [7: (7) -> (4, 3)]; v^q
+    # [8: (5, 3) -> (4, 4)]; the step back on x_h = 4 [8: (4, 4), the
+    # last]; v^q, r for r > 3 [9: (6, 3) -> (5, 4)]; 4^(q-2), 3, 3, 3
+    # [9: (5, 4) -> (3, 3, 3)]; the step back on B = 5
+    # [10: (5, 5) -> (4, 3, 3)]; v^q, 3 [11: (5, 3, 3) -> (4, 4, 3)]; and
+    # 3^q [12: (4, 4, 4) -> (3, 3, 3, 3)].  The closed-form credits of the
+    # 2s and 1s reach every row n <= 30 from these walks.
     t30 = tables.build(30)
     for n in range(1, 31):
         ranks, cranks, points = [0] * (2 * n + 1), [0] * (2 * n + 1), [0] * (2 * n + 3)
