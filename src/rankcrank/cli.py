@@ -340,7 +340,7 @@ def cmd_ospt(args) -> int:
             values["moments"][n] = table.ospt_moments(n)
     if "tau" in methods:
         for n in range(2, max_n + 1):
-            values["tau"][n] = reordering.ospt_via_tau(reordering.build_tau(n))
+            values["tau"][n] = reordering.ospt_via_statistics(n)
     if "genfun" in methods:
         series = qseries.ospt_series(max_n)
         for n in range(1, max_n + 1):

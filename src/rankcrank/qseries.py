@@ -124,7 +124,7 @@ def verify_genfun(order: int, table, tau_limit: int = 0) -> VerifyReport:
                     lambda n: {"n": n, "coefficient": ospt[n], "moments": moments[n - 1]})
     rec.expect_each("ospt-series-positive", 2, gt, ospt[2:], [0] * (order - 1),
                     lambda n: {"n": n, "coefficient": ospt[n]})
-    tau = [reordering.ospt_via_tau(reordering.build_tau(n)) for n in range(2, tau_limit + 1)]
+    tau = [reordering.ospt_via_statistics(n) for n in range(2, tau_limit + 1)]
     rec.expect_each("ospt-series-matches-tau", 2, eq, ospt[2:tau_limit + 1], tau,
                     lambda n: {"n": n, "coefficient": ospt[n], "tau": tau[n - 2]})
     return rec.report(

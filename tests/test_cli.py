@@ -447,7 +447,8 @@ def test_out_of_range_exits_2_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError(f"{' '.join(argv)} started work before its range check")
 
     for module, name in ((tables, "build"), (tables, "build_accelerated"),
-                         (reordering, "build_tau"), (qseries, "ospt_series"),
+                         (reordering, "build_tau"), (reordering, "stream_statistics"),
+                         (qseries, "ospt_series"),
                          (partitions, "enumerate_partitions")):
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run(capsys, *argv)

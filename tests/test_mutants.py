@@ -82,6 +82,23 @@ def listing_with_third_twice_at_5(n):
     return iter(listing)
 
 
+def listing_with_second_for_third_at_5(n):
+    # p(5) entries with one repeat: a length test alone passes it
+    listing = list(real_enumerate(n))
+    if n == 5:
+        listing[2] = listing[1]
+    return iter(listing)
+
+
+def listing_with_twin_at_10(n):
+    # (4, 3, 3) listed as (4, 4, 2), which has its crank 4 and rank 1:
+    # p(10) entries with every statistic list intact, and one repeat
+    listing = list(real_enumerate(n))
+    if n == 10:
+        listing[21] = listing[19]
+    return iter(listing)
+
+
 class Shifted:
     """A table whose `method` reads one higher at the given arguments."""
 
@@ -218,6 +235,27 @@ TAU_MUTANTS = [
                                                   "image": [3, 2]},
             "tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
                                                 "via_tau": 8, "via_moments": 7}}),
+    Mutant("listing replaces the third partition of 5 by the second", reordering,
+           {"enumerate_partitions": listing_with_second_for_third_at_5},
+           {"ospt-tau-matches-moments": {"n": 5, "tie_break": "lex-descending",
+                                         "via_tau": 1, "via_moments": 2},
+            "tau-case-condition": {"n": 5, "tie_break": "lex-descending",
+                                   "partition": [4, 1], "image": [4, 1], "crank": 0,
+                                   "rank_of_image": 2},
+            "tau-is-bijection": {"n": 5, "tie_break": "lex-descending", "listed": 7,
+                                 "distinct": 6, "p": 7},
+            "tau-membership-chain": {"n": 5, "tie_break": "lex-descending",
+                                     "partition": [4, 1], "image": [4, 1], "crank": 0,
+                                     "rank_of_image": 2},
+            "tau-position-in-cumulative-window": {"n": 5, "tie_break": "lex-descending",
+                                                  "position": 5, "partition": [4, 1],
+                                                  "image": [4, 1]},
+            "tau-transfers-positive-rank-sum": {"n": 5, "tie_break": "lex-descending",
+                                                "via_tau": 6, "via_moments": 7}}),
+    Mutant("listing replaces a partition of 10 by its crank and rank twin", reordering,
+           {"enumerate_partitions": listing_with_twin_at_10},
+           {"tau-is-bijection": {"n": 10, "tie_break": "lex-descending", "listed": 42,
+                                 "distinct": 41, "p": 42}}),
     Mutant("every rank negated", reordering, {"rank": lambda lam: -real_rank(lam)},
            {"tau-fixes-single-row-partition": {"n": 2, "tie_break": "lex-descending"}}),
     Mutant("every rank one higher", reordering, {"rank": lambda lam: real_rank(lam) + 1},

@@ -147,6 +147,60 @@ def test_verify_reordering_failure_witness(monkeypatch, table30):
                        "image": [1, 1], "crank": -2, "rank_of_image": -1}
 
 
+def test_verify_reordering_lists_each_weight_once(monkeypatch, table30):
+    # a passing weight is cleared by its one streamed pass
+    listed = []
+    real = reordering.enumerate_partitions
+    monkeypatch.setattr(reordering, "enumerate_partitions",
+                        lambda n: listed.append(n) or real(n))
+    rep = verify_reordering(12, table=table30)
+    assert rep.ok
+    assert {c.id for c in rep.checks} == {
+        "ospt-tau-matches-moments", "ospt-tau-tie-break-independent", "tau-case-condition",
+        "tau-fixes-single-row-partition", "tau-is-bijection", "tau-membership-chain",
+        "tau-position-in-cumulative-window", "tau-transfers-positive-rank-sum"}
+    assert listed == list(range(2, 13))
+
+
+@pytest.mark.parametrize("swap", ((2, 3), (0, 1)), ids=lambda swap: f"swap-{swap[0]}-{swap[1]}")
+def test_reordered_listing_still_passes(monkeypatch, table30, swap):
+    # a listing of 6 out of lex order, but with each partition once, is
+    # still a listing: tau sorts it, so every check passes; swapping
+    # positions 0 and 1 also moves (6) off the front
+    real = reordering.enumerate_partitions
+
+    def swapped(n):
+        listing = list(real(n))
+        if n == 6:
+            i, k = swap
+            listing[i], listing[k] = listing[k], listing[i]
+        return iter(listing)
+
+    monkeypatch.setattr(reordering, "enumerate_partitions", swapped)
+    rep = verify_reordering(10, table=table30)
+    assert len(rep.checks) == 8
+    assert rep.ok, [(c.id, c.witness) for c in rep.checks if c.status == "fail"]
+
+
+def test_fixed_point_needs_the_one_part_partition_itself(monkeypatch, table30):
+    # (5) listed as (5, 0), which a rank blind to zero parts reads as (5):
+    # the listing still descends and every statistic is intact, but tau
+    # fixes no (5)
+    real_listing, real_rank = reordering.enumerate_partitions, reordering.rank
+
+    def padded(n):
+        listing = list(real_listing(n))
+        if n == 5:
+            listing[0] = (5, 0)
+        return iter(listing)
+
+    monkeypatch.setattr(reordering, "enumerate_partitions", padded)
+    monkeypatch.setattr(reordering, "rank", lambda lam: real_rank(tuple(filter(None, lam))))
+    rep = verify_reordering(10, table=table30)
+    assert {c.id: c.witness for c in rep.checks if c.status == "fail"} == {
+        "tau-fixes-single-row-partition": {"n": 5, "tie_break": "lex-descending"}}
+
+
 def test_tau_bijection_detects_bad_listing(monkeypatch, table30):
     # a listing that misses or repeats a partition must not pass as a bijection
     real = reordering.enumerate_partitions
