@@ -18,12 +18,13 @@ facts, plus the bracketing of each position inside its cumulative
 count window and the transfer of the positive-rank sum, are checked
 here for every n in range under both tie-break orders.
 
-The suite holds no partitions for a weight that passes.  One streamed
-pass keeps each partition's crank and rank in two int lists, and
-notes whether the listing is (n) followed by strictly lex-decreasing
-partitions; with p(n) of them, that proves each partition is listed
-exactly once.  A weight the pass cannot clear is listed again, with
-its partitions, for exact verdicts and witnesses.
+The suite holds no partitions.  One streamed pass per weight keeps
+each partition's crank and rank in two int lists, the positions that
+hold (n), and whether the listing strictly lex-decreases, which shows
+that no partition is listed twice.  Every verdict is read from those
+lists; the weight is listed again only to count its distinct
+partitions when the listing does not strictly decrease, and for the
+witness of a failing check.
 
 tau needs n >= 2: the weight-1 crank table convention has no partition
 listing behind it, so tau is undefined there.
@@ -31,21 +32,16 @@ listing behind it, so tau is undefined there.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, pairwise, repeat
-from operator import eq, gt, ne, sub
+from functools import cached_property
+from itertools import chain, compress, count, islice, repeat
+from operator import countOf, eq, gt, ne, sub
 
 from .partitions import enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
 from .statistics import crank, rank
 
 TIE_BREAKS = ("lex-descending", "lex-ascending")
-
-_CHECK_IDS = ("ospt-tau-matches-moments", "ospt-tau-tie-break-independent",
-              "tau-case-condition", "tau-fixes-single-row-partition", "tau-is-bijection",
-              "tau-membership-chain", "tau-position-in-cumulative-window",
-              "tau-transfers-positive-rank-sum")
 
 # partitions held at once by the streamed pass
 _BATCH = 4096
@@ -57,18 +53,24 @@ class ReorderingMap:
 
     The i-th pair, crank-ascending, is (lambda, tau(lambda)) =
     (partitions[by_crank[i]], partitions[by_rank[i]]), with
-    cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda)).  The
-    list `pairs` is built on demand from those positions.  A map made
-    from the streamed pass has no partitions (None).
+    cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda)); `tops`
+    are the listing positions that hold (n).  The partitions themselves
+    are listed on first read, and the list `pairs` is built on demand
+    from them.
     """
 
     n: int
     tie_break: str
-    partitions: list[tuple[int, ...]] | None = field(repr=False)
+    tops: list[int] = field(repr=False)
     by_crank: list[int] = field(repr=False)
     by_rank: list[int] = field(repr=False)
     cranks: list[int] = field(repr=False)
     ranks: list[int] = field(repr=False)
+
+    @cached_property
+    def partitions(self) -> list[tuple[int, ...]]:
+        """The weight's listing, in the enumeration order the positions index."""
+        return list(enumerate_partitions(self.n))
 
     @property
     def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -77,42 +79,37 @@ class ReorderingMap:
         return [(partitions[i], partitions[k]) for i, k in zip(self.by_crank, self.by_rank)]
 
 
-# (partitions or None, cranks, ranks), all in listing order
-_Listing = tuple[list[tuple[int, ...]] | None, list[int], list[int]]
+# (cranks, ranks, positions of (n)), all in listing order
+_Listing = tuple[list[int], list[int], list[int]]
 
 
-def _listing(n: int) -> _Listing:
-    """The partitions of n in enumeration order, with their cranks and ranks."""
-    partitions = list(enumerate_partitions(n))
-    return partitions, list(map(crank, partitions)), list(map(rank, partitions))
-
-
-def stream_statistics(n: int) -> tuple[list[int], list[int], bool]:
+def stream_statistics(n: int) -> tuple[_Listing, bool]:
     """The cranks and ranks of the partitions of n in enumeration order,
-    from one pass that holds a batch of partitions at a time, and whether
-    the listing is (n) followed by strictly lex-decreasing partitions."""
+    the positions in that order that hold (n), and whether the order is
+    strictly lex-decreasing: one pass that holds a batch of partitions
+    at a time."""
     partitions = enumerate_partitions(n)
-    cranks, ranks = [], []
+    cranks, ranks, tops = [], [], []
     # one int object per value: CPython shares only -5..256, so every
     # crank or rank below -5 would otherwise be an object of its own
     shared = {v: v for v in range(-n, n + 1)}
-    batch = list(islice(partitions, 1))
-    ordered = batch == [(n,)]
-    while batch:
+    top = (n,)
+    descending, last = True, (n + 1,)  # (n + 1) sorts above every partition of n
+    while batch := list(islice(partitions, _BATCH)):
+        tops += compress(count(len(cranks)), map(eq, batch, repeat(top)))
         values = list(map(crank, batch))
         cranks += map(shared.get, values, values)
         values = list(map(rank, batch))
         ranks += map(shared.get, values, values)
+        descending = descending and all(map(gt, chain((last,), batch), batch))
         last = batch[-1]
-        batch = list(islice(partitions, _BATCH))
-        ordered = ordered and all(map(gt, chain((last,), batch), batch))
-    return cranks, ranks, ordered
+    return (cranks, ranks, tops), descending
 
 
 def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
     """tau from a weight's listing: stable sorts of its positions by crank
     and by rank, each statistic computed once per partition."""
-    partitions, cranks, ranks = listing
+    cranks, ranks, tops = listing
     # both sorts reorder the one list of positions, so the two position
     # lists share its int objects
     order = list(range(len(cranks)))
@@ -123,7 +120,7 @@ def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
     return ReorderingMap(
         n=n,
         tie_break=tie_break,
-        partitions=partitions,
+        tops=tops,
         by_crank=by_crank,
         by_rank=by_rank,
         cranks=list(map(cranks.__getitem__, by_crank)),
@@ -132,7 +129,7 @@ def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
 
 
 def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
-    """Materialize tau for weight n (n >= 2).
+    """Materialize tau for weight n (n >= 2), with its partitions.
 
     The enumeration order is already lexicographically decreasing, so
     the chosen tie-break is applied by optionally reversing before the
@@ -142,27 +139,36 @@ def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
         raise ValueError("tau needs n >= 2; the weight-1 table row is a convention only")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    return _tau(n, tie_break, _listing(n))
+    partitions = list(enumerate_partitions(n))
+    rmap = _tau(n, tie_break, (list(map(crank, partitions)), list(map(rank, partitions)),
+                               [i for i, lam in enumerate(partitions) if lam == (n,)]))
+    rmap.partitions = partitions  # the listing just made, so it is not listed again
+    return rmap
+
+
+def _ospt(cranks: list[int], ranks: list[int]) -> int:
+    """The positions i with cranks[i] - ranks[i] = 1: ospt, when the
+    lists are a weight's cranks and ranks in ascending order."""
+    return countOf(map(sub, cranks, ranks), 1)
 
 
 def ospt_via_tau(rmap: ReorderingMap) -> int:
     """Count the pairs with crank(lambda) - rank(tau(lambda)) = 1."""
-    return sum(1 for a, b in zip(rmap.cranks, rmap.ranks) if a - b == 1)
+    return _ospt(rmap.cranks, rmap.ranks)
 
 
 def ospt_via_statistics(n: int) -> int:
     """`ospt_via_tau(build_tau(n))` from the streamed pass: tau pairs the
     i-th smallest crank with the i-th smallest rank under either tie-break."""
-    cranks, ranks, _ = stream_statistics(n)
-    return list(map(sub, sorted(cranks), sorted(ranks))).count(1)
+    (cranks, ranks, _), _ = stream_statistics(n)
+    return _ospt(sorted(cranks), sorted(ranks))
 
 
 def fixed_point_check(rmap: ReorderingMap) -> bool:
     """tau must fix the one-part partition (n), which maximizes both statistics."""
-    top = (rmap.n,)
-    partitions = rmap.partitions
+    tops = rmap.tops
     # (n) alone has the largest crank, so its pair is normally the last one
-    return any(partitions[i] == top and partitions[k] == top
+    return any(i in tops and k in tops
                for i, k in zip(reversed(rmap.by_crank), reversed(rmap.by_rank)))
 
 
@@ -187,119 +193,16 @@ def _window_values(row: list[int], n: int):
     return chain(chain.from_iterable(map(repeat, range(-n, n + 1), row)), repeat(None))
 
 
-def _in_windows(cranks: list[int], ranks: list[int], crank_row: list[int],
-                rank_row: list[int], n: int) -> bool:
-    """Whether every position lies in both cumulative windows: the i-th
-    crank and rank are the i-th values of the expanded rows."""
-    return (all(map(eq, cranks, _window_values(crank_row, n)))
-            and all(map(eq, ranks, _window_values(rank_row, n))))
-
-
 def _is_permutation(positions: list[int], length: int) -> bool:
     return len(positions) == length and all(map(eq, sorted(positions), range(length)))
 
 
-def _run_intersections(cranks: list[int], ranks: list[int], n: int):
-    """(crank, rank, width) for each maximal stretch of positions on which
-    two ascending lists with values in -n..n are both constant: at most
-    4n + 2 stretches, each starting where a crank run or a rank run does."""
-    values = range(-n, n + 1)
-    starts = sorted({*map(bisect_left, repeat(cranks), values),
-                     *map(bisect_left, repeat(ranks), values), len(cranks)})
-    return [(cranks[s], ranks[s], e - s) for s, e in pairwise(starts)]
-
-
-def _map_passes(n: int, tie_break: str, listing: _Listing, crank_row: list[int],
-                rank_row: list[int], expected_sum: int, ospt_moments: int) -> bool:
-    """Whether tau under `tie_break`, from a streamed listing that holds
-    p(n) distinct partitions with (n) first, passes every check.
-
-    Only a sufficient proof: (n) sits at listing position 0, so tau fixes
-    it when both position orders end there, and once both statistic lists
-    equal the expanded rows, the statistics checks are read once per run
-    intersection.
-    """
-    rmap = _tau(n, tie_break, listing)
-    by_crank, by_rank, cranks, ranks = rmap.by_crank, rmap.by_rank, rmap.cranks, rmap.ranks
-    pn = len(listing[1])
-    if not (_is_permutation(by_crank, pn) and _is_permutation(by_rank, pn)
-            and by_crank[-1] == by_rank[-1] == 0
-            and len(cranks) == len(ranks) == pn
-            and _in_windows(cranks, ranks, crank_row, rank_row, n)):
-        return False
-    positive_rank_sum = ospt = 0
-    for a, b, width in _run_intersections(cranks, ranks, n):
-        if not (case_condition_holds(a, a - b) and _membership_chain_holds(a, b)):
-            return False
-        if a > 0:
-            positive_rank_sum += width * b
-        if a - b == 1:
-            ospt += width
-    return positive_rank_sum == expected_sum and ospt == ospt_moments
-
-
-def _check_listing(rec: CheckRecorder, n: int, listing: _Listing, crank_row: list[int],
-                   rank_row: list[int], expected_sum: int, ospt_moments: int) -> None:
-    """Every check of one weight, position by position, from a listing
-    that holds its partitions: exact verdicts, with the first witnesses."""
-    partitions = listing[0]
-    listed, distinct, pn = len(partitions), len(set(partitions)), partition_count(n)
-    ospt_values = set()
-    for tie_break in TIE_BREAKS:
-        rmap = _tau(n, tie_break, listing)
-        by_crank, by_rank, cranks, ranks = rmap.by_crank, rmap.by_rank, rmap.cranks, rmap.ranks
-        rec.expect(
-            "tau-is-bijection",
-            listed == pn == distinct
-            and _is_permutation(by_crank, pn) and _is_permutation(by_rank, pn),
-            lambda: {"n": n, "tie_break": tie_break, "listed": listed,
-                     "distinct": distinct, "p": pn},
-        )
-        rec.expect(
-            "tau-fixes-single-row-partition",
-            fixed_point_check(rmap),
-            lambda: {"n": n, "tie_break": tie_break},
-        )
-
-        def statistics_witness(i: int) -> dict:
-            return {"n": n, "tie_break": tie_break,
-                    "partition": list(partitions[by_crank[i]]),
-                    "image": list(partitions[by_rank[i]]),
-                    "crank": cranks[i], "rank_of_image": ranks[i]}
-
-        def window_witness() -> dict:
-            expected = zip(_window_values(crank_row, n), _window_values(rank_row, n))
-            position = next(compress(count(1), map(ne, zip(cranks, ranks), expected)))
-            return {"n": n, "tie_break": tie_break, "position": position,
-                    "partition": list(partitions[by_crank[position - 1]]),
-                    "image": list(partitions[by_rank[position - 1]])}
-
-        rec.expect_each("tau-case-condition", 0, case_condition_holds,
-                        cranks, list(map(sub, cranks, ranks)), statistics_witness)
-        rec.expect("tau-position-in-cumulative-window",
-                   _in_windows(cranks, ranks, crank_row, rank_row, n), window_witness)
-        rec.expect_each("tau-membership-chain", 0, _membership_chain_holds,
-                        cranks, ranks, statistics_witness)
-        positive_rank_sum = sum(compress(ranks, map(gt, cranks, repeat(0))))
-        rec.expect(
-            "tau-transfers-positive-rank-sum",
-            positive_rank_sum == expected_sum,
-            lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
-                     "via_moments": expected_sum},
-        )
-        via_tau = ospt_via_tau(rmap)
-        ospt_values.add(via_tau)
-        rec.expect(
-            "ospt-tau-matches-moments",
-            via_tau == ospt_moments,
-            lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
-                     "via_moments": ospt_moments},
-        )
-    rec.expect(
-        "ospt-tau-tie-break-independent",
-        len(ospt_values) == 1,
-        lambda: {"n": n, "values": sorted(ospt_values)},
-    )
+def _run_intersections(cranks: list[int], ranks: list[int]) -> list[int]:
+    """Where each maximal stretch of positions on which both lists are
+    constant starts: at most 4n + 2 stretches for two ascending lists
+    with values in -n..n."""
+    changed = map(ne, zip(islice(cranks, 1, None), islice(ranks, 1, None)), zip(cranks, ranks))
+    return [0, *compress(count(1), changed)] if cranks else []
 
 
 def verify_reordering(nmax: int, table) -> VerifyReport:
@@ -315,20 +218,23 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).
 
-    Each weight is first cleared, if it can be, by one streamed pass
-    that holds no partition (`stream_statistics`).  Its listing holds
-    each partition exactly once when it has p(n) entries, (n) first and
-    strictly lex-decreasing after.  Position i lies in both windows
-    exactly when the i-th crank and rank equal the i-th values of the
-    weight's crank and rank rows of `table` expanded in ascending order,
-    a streamed comparison.  With the windows passed, both statistic
-    lists are the expanded rows, so the case condition, the membership
-    chain, the positive-rank sum and ospt are read once per intersection
-    of a crank run with a rank run.  A weight that fails any of this,
-    or whose listing is not so ordered, is listed again with its
-    partitions and checked position by position, for the exact verdicts
-    and first witnesses.  The positive-rank sum and ospt are read from
-    the cells and moments of `table`, which must cover n <= nmax.
+    Each weight is streamed once (`stream_statistics`), and every check
+    is one statement per weight and tie-break, read from the weight's
+    crank and rank lists.  A listing of p(n) entries that strictly
+    lex-decreases holds each of them once; any other listing is listed
+    again to count its distinct partitions.  tau fixes (n) when one
+    position pairs two listing positions that hold (n).  Position i
+    lies in both windows exactly when the i-th crank and rank equal the
+    i-th values of the weight's crank and rank rows of `table` expanded
+    in ascending order, a streamed comparison.  The case condition and
+    the membership chain read only the two values at a position, so
+    they are evaluated once per stretch on which both values stay
+    constant (once per intersection of a crank run with a rank run),
+    and the first failing stretch starts at the first failing position.
+    The statistics checks run for the second tie-break only when its
+    lists differ from the first's.  A failing check lists the weight
+    again for its witness.  The positive-rank sum and ospt are read
+    from the cells and moments of `table`, which must cover n <= nmax.
     """
     if nmax < 2:
         raise ValueError("the tau suite needs nmax >= 2")
@@ -336,18 +242,85 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         raise ValueError(f"table covers n <= {table.nmax}, need {nmax}")
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
-        reads = (table.crank_row(n), table.rank_row(n),
-                 sum(m * table.rank_count(m, n) for m in range(1, n + 1)),
-                 table.ospt_moments(n))
-        cranks, ranks, ordered = stream_statistics(n)
-        passed = (ordered and len(cranks) == partition_count(n)
-                  and all(_map_passes(n, tie_break, (None, cranks, ranks), *reads)
-                          for tie_break in TIE_BREAKS))
-        # free the streamed lists before this weight is listed again or the next is streamed
-        del cranks, ranks
-        if passed:
-            for check_id in _CHECK_IDS:
-                rec.expect(check_id, True)
-        else:
-            _check_listing(rec, n, _listing(n), *reads)
+        listing, descending = stream_statistics(n)
+        # the listing must hold each of the p(n) partitions exactly once
+        listed, pn = len(listing[0]), partition_count(n)
+        distinct = listed if descending else len(set(enumerate_partitions(n)))
+        crank_row, rank_row = table.crank_row(n), table.rank_row(n)
+        expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
+        ospt_moments = table.ospt_moments(n)
+        ospt_values = set()
+        checked = None
+        for tie_break in TIE_BREAKS:
+            rmap = _tau(n, tie_break, listing)
+            by_crank, by_rank, cranks, ranks = rmap.by_crank, rmap.by_rank, rmap.cranks, rmap.ranks
+            rec.expect(
+                "tau-is-bijection",
+                listed == pn == distinct
+                and _is_permutation(by_crank, pn) and _is_permutation(by_rank, pn),
+                lambda: {"n": n, "tie_break": tie_break, "listed": listed,
+                         "distinct": distinct, "p": pn},
+            )
+            rec.expect(
+                "tau-fixes-single-row-partition",
+                fixed_point_check(rmap),
+                lambda: {"n": n, "tie_break": tie_break},
+            )
+            # the statistics checks read only the two statistic lists, so a
+            # map whose lists equal the last checked map's has its verdicts
+            if checked != (cranks, ranks):
+                checked = cranks, ranks
+
+                def statistics_witness(i: int) -> dict:
+                    partitions = rmap.partitions
+                    return {"n": n, "tie_break": tie_break,
+                            "partition": list(partitions[by_crank[i]]),
+                            "image": list(partitions[by_rank[i]]),
+                            "crank": cranks[i], "rank_of_image": ranks[i]}
+
+                def window_witness() -> dict:
+                    expected = zip(_window_values(crank_row, n), _window_values(rank_row, n))
+                    position = next(compress(count(1), map(ne, zip(cranks, ranks), expected)))
+                    partitions = rmap.partitions
+                    return {"n": n, "tie_break": tie_break, "position": position,
+                            "partition": list(partitions[by_crank[position - 1]]),
+                            "image": list(partitions[by_rank[position - 1]])}
+
+                starts = _run_intersections(cranks, ranks)
+                run_cranks = list(map(cranks.__getitem__, starts))
+                run_ranks = list(map(ranks.__getitem__, starts))
+                rec.expect_each("tau-case-condition", 0, case_condition_holds,
+                                run_cranks, list(map(sub, run_cranks, run_ranks)),
+                                lambda j: statistics_witness(starts[j]))
+                rec.expect("tau-position-in-cumulative-window",
+                           all(map(eq, cranks, _window_values(crank_row, n)))
+                           and all(map(eq, ranks, _window_values(rank_row, n))),
+                           window_witness)
+                rec.expect_each("tau-membership-chain", 0, _membership_chain_holds,
+                                run_cranks, run_ranks, lambda j: statistics_witness(starts[j]))
+                positive_rank_sum = sum(compress(ranks, map(gt, cranks, repeat(0))))
+                rec.expect(
+                    "tau-transfers-positive-rank-sum",
+                    positive_rank_sum == expected_sum,
+                    lambda: {"n": n, "tie_break": tie_break, "via_tau": positive_rank_sum,
+                             "via_moments": expected_sum},
+                )
+                via_tau = ospt_via_tau(rmap)
+                ospt_values.add(via_tau)
+                rec.expect(
+                    "ospt-tau-matches-moments",
+                    via_tau == ospt_moments,
+                    lambda: {"n": n, "tie_break": tie_break, "via_tau": via_tau,
+                             "via_moments": ospt_moments},
+                )
+            # free this tie-break's map, all but the checked lists, before
+            # the next one is built
+            del rmap, by_crank, by_rank, cranks, ranks
+        rec.expect(
+            "ospt-tau-tie-break-independent",
+            len(ospt_values) == 1,
+            lambda: {"n": n, "values": sorted(ospt_values)},
+        )
+        # free this weight's lists before the next weight is streamed
+        del listing, checked
     return rec.report("tau", {"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)})

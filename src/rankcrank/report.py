@@ -8,15 +8,16 @@ a weight in the identities and bounds suites, the whole range of n in
 the genfun suite, a weight and tie-break in the tau suite, and a
 weight and m in the injection suite.  Where the instances of a scope
 lie in aligned lists (the m of one weight, the n of the genfun range,
-the positions of a tau map that its streamed pass could not clear, the
-symbols of one (n, m)), the check is one `CheckRecorder.expect_each`
-call, which scans for the first failure only when the scope did not
-pass.  Otherwise it is one `CheckRecorder.expect` call; a tau weight
-that its streamed pass clears records one passing `expect` per check.
-A check is listed only once it ran on some instance: an `expect_each`
-scope with no instances records nothing, so a check whose every scope
-is empty is absent from the report rather than a pass.  The recorder
-also times the suite and assembles its report.
+the stretches of one tau map on which its crank and rank stay
+constant, the symbols of one (n, m)), the check is one
+`CheckRecorder.expect_each` call, which scans for the first failure
+only when the scope did not pass.  Otherwise it is one
+`CheckRecorder.expect` call; the tau window check clears its positions
+by a streamed comparison first.  A check is listed only once it ran on
+some instance: an `expect_each` scope with no instances records
+nothing, so a check whose every scope is empty is absent from the
+report rather than a pass.  The recorder also times the suite and
+assembles its report.
 """
 
 from __future__ import annotations

@@ -85,6 +85,11 @@ def test_ospt_via_tau_matches_moments(table30):
         assert ospt_via_tau(build_tau(n)) == table30.ospt_moments(n)
 
 
+def test_ospt_via_statistics_matches_tau():
+    for n in range(2, 31):
+        assert reordering.ospt_via_statistics(n) == ospt_via_tau(build_tau(n)), n
+
+
 def test_tie_break_changes_pairs_not_counts():
     rmap_d = build_tau(6, "lex-descending")
     rmap_a = build_tau(6, "lex-ascending")
@@ -148,7 +153,7 @@ def test_verify_reordering_failure_witness(monkeypatch, table30):
 
 
 def test_verify_reordering_lists_each_weight_once(monkeypatch, table30):
-    # a passing weight is cleared by its one streamed pass
+    # on correct code each weight is streamed once and never listed again
     listed = []
     real = reordering.enumerate_partitions
     monkeypatch.setattr(reordering, "enumerate_partitions",
