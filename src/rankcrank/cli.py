@@ -5,6 +5,9 @@ to stdout; narration goes to stderr.  Exit codes: 0 when everything
 asked for passed, 1 when a verification or comparison failed, 2 for
 usage errors (bad flags, out-of-range parameters).
 
+`main` parses every request of a process with one parser, built on its
+first call; `build_parser` builds a fresh one each time it is called.
+
 Every supported range (lowest, default and highest nmax of each
 request, and its clamp under `verify --suite all`) lives in `RANGES`
 below; anything outside its row exits 2 before any work starts.  A
@@ -19,6 +22,7 @@ suites' own.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -126,6 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ospt.add_argument("--methods", type=str, default=",".join(OSPT_METHODS),
                         help=f"comma-separated subset of {','.join(OSPT_METHODS)}")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses: parsing leaves no state on it."""
+    return build_parser()
 
 
 # -- table ---------------------------------------------------------------
@@ -358,8 +368,7 @@ def cmd_ospt(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "table": cmd_table,
         "verify": cmd_verify,

@@ -7,13 +7,14 @@
 * q(m, n): partitions of n whose rank-set contains m,
 
 densely over |m| <= n (the q row over -n <= m <= n + 2).  The rows
-are all a table stores: each is padded with three zeros on either
-side (the q row below only), so cell m of weight n sits at index
-m + n + 3, and a read clamps m's index to the row's ends, where the
-row is constant (0, or p(n) at the top of a q row).  Cumulations are
-sums over a slice of the row.  All entries are Python ints, so counts
-and moments are exact at any size: arithmetic cannot overflow or
-wrap, it just grows.
+are all a table stores, but for the power lists m^k of the last weight
+whose moments were read (see `StatTable`).  Each row is padded with
+three zeros on either side (the q row below only), so cell m of weight
+n sits at index m + n + 3, and a read clamps m's index to the row's
+ends, where the row is constant (0, or p(n) at the top of a q row).
+Cumulations are sums over a slice of the row.  All entries are Python
+ints, so counts and moments are exact at any size: arithmetic cannot
+overflow or wrap, it just grows.
 
 Readers that want a whole weight take it whole: `rank_row` and
 `crank_row` copy a stored row, `verify_identities` reads each weight's
@@ -42,8 +43,9 @@ Two builders with recorded provenance:
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
-  itself), summed column by column, one column over n per m, and read
-  back into rows; q rows for m >= 0 from a sum over m-Durfee rectangles of
+  itself), summed column by column, one column over n per m, each term
+  one shared difference series p(i) - p(i - k), and read back into
+  rows; q rows for m >= 0 from a sum over m-Durfee rectangles of
   filling series F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running
   series per m: F_{m,0} counts partitions with parts <= m, and two
   in-place divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells
@@ -76,13 +78,15 @@ WEIGHT_ONE_CRANK_ROW = {-1: 1, 0: -1, 1: 1}
 class StatTable:
     """Dense exact tables of N(m, n), M(m, n), and q(m, n) for n <= nmax.
 
-    The stored rows are the whole state.  Each weight's rank and crank
-    rows carry three zeros on each side and its q row three zeros below,
-    so cell m of weight n sits at index m + n + 3 of every row.  One read
-    checks n and clamps m's index to the row's own ends: beyond its band
-    a row is constant, 0 for rank and crank, and for q 0 below -n and
-    q(n + 2, n) = p(n) above.  Every reader takes its row through it, so
-    every reader raises ValueError for n outside 1..nmax.
+    The stored rows are the whole state, but for the power lists of one
+    weight, which the moments share until a moment of another weight is
+    read.  Each weight's rank and crank rows carry three zeros on each
+    side and its q row three zeros below, so cell m of weight n sits at
+    index m + n + 3 of every row.  One read checks n and clamps m's index
+    to the row's own ends: beyond its band a row is constant, 0 for rank
+    and crank, and for q 0 below -n and q(n + 2, n) = p(n) above.  Every
+    reader takes its row through it, so every reader raises ValueError
+    for n outside 1..nmax.
     """
 
     def __init__(self, nmax, rank_rows, crank_rows, q_rows, spt_tallies, provenance):
@@ -95,6 +99,7 @@ class StatTable:
         self._crank = [None] + [pad + row + pad for row in crank_rows[1:]]
         self._q = [None] + [pad + row for row in q_rows[1:]]  # 2n + 6 cells, to m = n + 2
         self._spt = spt_tallies  # _spt[n]: smallest-part tally, or None
+        self._powers = (None, {})  # (n, {k: m^k over -n - 3 <= m <= n + 3})
 
     def _read(self, rows: list, n: int, m: int = 0) -> tuple:
         """Row n of `rows` and the index of cell m in it, clamped to the row."""
@@ -168,16 +173,28 @@ class StatTable:
 
     # Each moment is one dot product of the stored row with the list of
     # m^k (or |m|), taken at C level: exact ints, whatever the cells hold.
+    # The m^k lists of the last weight read are kept, so the moments a
+    # suite takes of one weight compute each power list once.
+
+    def _power_list(self, k: int, n: int) -> list:
+        """[m^k for -n - 3 <= m <= n + 3]; reading another n drops the last n's."""
+        held, lists = self._powers
+        if held != n:
+            lists = {}
+            self._powers = (n, lists)
+        if k not in lists:
+            lists[k] = list(map(pow, range(-n - 3, n + 4), repeat(k)))
+        return lists[k]
 
     def moment_rank(self, k: int, n: int) -> int:
         """N_k(n) = sum over m of m^k N(m, n), exactly."""
         row = self._read(self._rank, n)[0]
-        return sum(map(mul, map(pow, range(-n - 3, n + 4), repeat(k)), row))
+        return sum(map(mul, self._power_list(k, n), row))
 
     def moment_crank(self, k: int, n: int) -> int:
         """M_k(n) = sum over m of m^k M(m, n), exactly."""
         row = self._read(self._crank, n)[0]
-        return sum(map(mul, map(pow, range(-n - 3, n + 4), repeat(k)), row))
+        return sum(map(mul, self._power_list(k, n), row))
 
     def abs_crank_moment(self, n: int) -> int:
         """Sum over m of |m| M(m, n): the total absolute crank."""
@@ -419,26 +436,28 @@ def _rows_from_series(nmax: int, base_exponent) -> list:
 
     For m >= 0 the number of partitions of n with statistic value m is
 
-      sum over k >= 1 of (-1)^(k-1) [p(n - e(k)) - p(n - e(k) - k)],
+      sum over k >= 1 of (-1)^(k-1) d_k(n - e(k)),  d_k(i) = p(i) - p(i - k),
 
     where e(k) = k(3k-1)/2 + mk for the rank and e(k) = k(k-1)/2 + mk
-    for the crank (`base_exponent` maps (k, m) to e(k)).  Each m gets one
-    column over 0 <= n <= nmax, and each term adds or subtracts the
-    shifted p-series from a slice of it at C level.  Every term starts
-    at n >= e >= m, so the column vanishes below n = m.  Row n reads
-    the columns at n for 0 <= m <= n and is completed by the m <-> -m
+    for the crank (`base_exponent` maps (k, m) to e(k)).  The difference
+    series d_k over 0 <= i <= nmax is formed once per k and serves every
+    m.  Each m gets one column over 0 <= n <= nmax, and each term adds or
+    subtracts d_k from a slice of it at C level.  Every term starts at
+    n >= e >= m, so the column vanishes below n = m.  Row n reads the
+    columns at n for 0 <= m <= n and is completed by the m <-> -m
     symmetry.  Note the crank series yields the weight-1 convention row
     on its own.
     """
     ps = partition_count_series(nmax)
+    diffs = [None]  # diffs[k]: d_k over 0 <= i <= nmax
     cols = []  # cols[m][n]: the count at (m, n), 0 <= m, n <= nmax
     for m in range(0, nmax + 1):
         col = [0] * (nmax + 1)
         k = 1
         while (e := base_exponent(k, m)) <= nmax:
-            first, second = (add, sub) if k % 2 else (sub, add)
-            col[e:] = map(first, col[e:], ps)
-            col[e + k:] = map(second, col[e + k:], ps)
+            if k == len(diffs):
+                diffs.append(ps[:k] + list(map(sub, ps[k:], ps)))
+            col[e:] = map(add if k % 2 else sub, col[e:], diffs[k])
             k += 1
         cols.append(col)
     at = list(zip(*cols))  # at[n][m] = cols[m][n]

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 import rankcrank
-from rankcrank import injections, partitions, qseries, reordering, tables
-from rankcrank.cli import RANGES, TABLE_SUITES, main
+from rankcrank import cli, injections, partitions, qseries, reordering, tables
+from rankcrank.cli import RANGES, TABLE_SUITES, build_parser, main
 from rankcrank.report import VerifyReport
 from rankcrank.symbols import to_symbol
 
@@ -484,6 +484,7 @@ DESK_STDOUT_SHA256 = {
     ("table", "crank", "text"): "3e118026478b9528d8efe3ed661315ca3be89461573a78792fa9ef09a1148408",
     ("verify", "identities"): "9a0a2c2885c43253e82e0061da0f3fa81490fec3e775f0ab35bff5e5d7f6ddf4",
     ("verify", "bounds"): "7c17cb9c14ed24ecd2ea7199117abbd24356ac04ca511218b1479a4550fdbeeb",
+    ("ospt", "genfun"): "b3a43b9a019aad3022f15190f8c32015a7788936aeaf70d058c92672d7961c7d",
 }
 
 
@@ -492,12 +493,58 @@ def test_desk_request_stdout_unchanged(capsys, key):
     if key[0] == "table":
         argv = ("table", "--stat", key[1], "--nmax", "100", "--backend", "accelerated",
                 "--format", key[2])
+    elif key[0] == "ospt":
+        argv = ("ospt", "--max-n", "100", "--methods", key[1])
     else:
         argv = ("verify", "--suite", key[1], "--nmax", "100", "--extended")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     out = re.sub(r'\n  "elapsed_ms": \d+', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]
+
+
+# Interleaved requests through main's one parser: an argparse error, an
+# out-of-range usage error, both sides of table's exclusive scope group,
+# verify with and then without --extended (no default may carry over),
+# and ospt with its default --methods.
+ONE_PARSER_REQUESTS = (
+    ("verify", "--suite", "nope"),
+    ("table", "--n", "5"),
+    ("tau", "--n", "99"),
+    ("table", "--nmax", "5"),
+    ("verify", "--suite", "bounds", "--nmax", "5", "--extended"),
+    ("verify", "--suite", "bounds", "--nmax", "5"),
+    ("ospt", "--max-n", "8"),
+)
+
+
+def test_one_parser_serves_every_request(capsys, monkeypatch):
+    seen = []  # the namespace each handler was called with
+    for command in ("table", "verify", "tau", "ospt"):
+        handler = getattr(cli, f"cmd_{command}")
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args, handler=handler: seen.append(vars(args)) or handler(args))
+
+    def answer(argv):
+        """(namespace, exit code, stdout) of one request through main."""
+        seen.clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = re.sub(r'\n  "elapsed_ms": \d+', "", capsys.readouterr().out)
+        return (seen[0] if seen else None), code, out
+
+    cli._parser.cache_clear()
+    shared = [answer(argv) for argv in ONE_PARSER_REQUESTS]
+    assert cli._parser.cache_info().misses == 1
+    for argv, got in zip(ONE_PARSER_REQUESTS, shared):
+        cli._parser.cache_clear()  # main now parses with a fresh build_parser()
+        assert got == answer(argv), argv
+        if got[0] is not None:
+            assert got[0] == vars(build_parser().parse_args(list(argv))), argv
+    assert [code for _, code, _ in shared] == [2, 0, 2, 0, 0, 0, 0]
+    assert build_parser() is not build_parser()
 
 
 # The same pin for the enumeration backend at the top of its range, so

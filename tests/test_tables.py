@@ -253,6 +253,27 @@ def test_accelerated_q_matches_rectangle_sum(accel100):
             assert accel100.q_count(m, n) == q_ref(m, n), (m, n)
 
 
+def test_accelerated_rank_and_crank_match_series_sum(accel100):
+    # literal per-cell alternating sums of p(n - e) - p(n - e - k), above
+    # the enumeration range; m < 0 reads m's mirror cell
+    def p(i):
+        return partition_count(i) if i >= 0 else 0
+
+    def series_sum(n, m, e):
+        total, k = 0, 1
+        while e(k, m) <= n:
+            total += (-1) ** (k - 1) * (p(n - e(k, m)) - p(n - e(k, m) - k))
+            k += 1
+        return total
+
+    rank_e = lambda k, m: k * (3 * k - 1) // 2 + m * k
+    crank_e = lambda k, m: k * (k - 1) // 2 + m * k
+    for n in (61, 79, 100):
+        for m in range(-n - 3, n + 4):
+            assert accel100.rank_count(m, n) == series_sum(n, abs(m), rank_e), (m, n)
+            assert accel100.crank_count(m, n) == series_sum(n, abs(m), crank_e), (m, n)
+
+
 def test_accelerated_rows_do_not_depend_on_nmax(accel100):
     small = tables.build_accelerated(37)
     for n in range(1, 38):
@@ -490,3 +511,14 @@ def test_moments_match_per_cell_definitions(table60, accel100):
     t._rank[7][3 + 7 + 3] = -4
     t._crank[7][-5 + 7 + 3] = -9
     assert_moments_match_definitions(t, [7])
+
+
+def test_moments_read_in_interleaved_weight_order(table60, accel100):
+    # the power lists a table holds follow the weight read, in any order
+    assert_moments_match_definitions(accel100, [5, 100, 5, 1, 100])
+    assert_moments_match_definitions(table60, [5, 60, 5, 1])
+    # and they are one weight's: a bounds pass leaves only its last weight's
+    tables.verify_bounds(accel100)
+    n, lists = accel100._powers
+    assert n == 100 and lists
+    assert all(len(powers) == 2 * n + 7 for powers in lists.values())
