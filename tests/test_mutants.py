@@ -22,6 +22,7 @@ from rankcrank.reordering import verify_reordering
 from rankcrank.symbols import MDurfeeSymbol, to_symbol
 
 real_theta2 = injections.theta2
+real_theta3 = injections.theta3
 real_classify = injections.classify
 real_inj_rank = injections.rank
 real_enumerate = reordering.enumerate_partitions
@@ -38,6 +39,12 @@ def identity(symbol):
 def theta2_extra_one(symbol):
     # theta2's image with one more trailing 1 in delta: one too heavy
     image = real_theta2(symbol)
+    return MDurfeeSymbol(image.m, image.j, image.alpha, image.beta + (1,))
+
+
+def theta3_extra_one(symbol):
+    # theta3's image with one more trailing 1 in delta: the P3 weight check
+    image = real_theta3(symbol)
     return MDurfeeSymbol(image.m, image.j, image.alpha, image.beta + (1,))
 
 
@@ -175,6 +182,10 @@ INJECTION_MUTANTS = [
            {"sigma-inverts-theta2": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"},
             "theta-image-in-q": {"m": 0, "n": 2},
             "theta-preserves-weight": {"m": 0, "n": 2, "symbol": "[1 | ]_(1x1)"}}),
+    Mutant("theta3 adds a trailing 1", injections, {"theta3": theta3_extra_one},
+           {"pi-inverts-theta3": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)"},
+            "theta-image-in-q": {"m": 0, "n": 5},
+            "theta-preserves-weight": {"m": 0, "n": 5, "symbol": "[1 | ]_(2x2)"}}),
     Mutant("theta2 maps onto the one-row symbol", injections,
            {"theta2": theta2_to_one_row, "sigma": identity},
            {"sigma-inverts-theta2": {"m": 1, "n": 3, "symbol": "[1 | ]_(2x1)"},

@@ -74,18 +74,11 @@ def test_q_rows_small():
 
 def test_build_matches_direct_tally():
     # Row n of build(n) and of build(30) against one pass over the
-    # partitions of n, for every n <= 30.  Each branch of the walk over
-    # the partitions into parts >= 3 first fires at the weight in
-    # brackets: the seed mu = (2) [2]; the end on 3^(u/3) [3: (3)]; the end
-    # with no index to step back to, on x_h = 4 [4: (4)] and on B = 5
-    # [5: (5)]; the refill v^(q-1), v + r - 3, 3 ending in two 3s
-    # [6: (6) -> (3, 3)] and in one [7: (7) -> (4, 3)]; v^q
-    # [8: (5, 3) -> (4, 4)]; the step back on x_h = 4 [8: (4, 4), the
-    # last]; v^q, r for r > 3 [9: (6, 3) -> (5, 4)]; 4^(q-2), 3, 3, 3
-    # [9: (5, 4) -> (3, 3, 3)]; the step back on B = 5
-    # [10: (5, 5) -> (4, 3, 3)]; v^q, 3 [11: (5, 3, 3) -> (4, 4, 3)]; and
-    # 3^q [12: (4, 4, 4) -> (3, 3, 3, 3)].  The closed-form credits of the
-    # 2s and 1s reach every row n <= 30 from these walks.
+    # partitions of n, for every n <= 30.  Each level s <= 30 of build(30)
+    # seeds mu = (s) at weight s, and each s <= 15 also moves weight
+    # u - s's tallies to u for 2s <= u <= 30, so rows n <= 30 meet every
+    # level in both cases; the ones are credited to every row in closed
+    # form.
     t30 = tables.build(30)
     for n in range(1, 31):
         ranks, cranks, points = [0] * (2 * n + 1), [0] * (2 * n + 1), [0] * (2 * n + 3)
@@ -107,6 +100,17 @@ def test_build_matches_direct_tally():
             assert t.crank_row(n) == cranks, n
             assert [t.q_count(m, n) for m in range(-n, n + 3)] == q_row, n
             assert t.spt_tally(n) == spt, n
+
+
+def test_rows_match_across_nmax_above_direct_tally_range():
+    # the level tallies are sized by weight and the sweep's runs by nmax,
+    # so a trimming fault shows as a row that depends on nmax
+    t45, t60 = tables.build(45), tables.build(60)
+    for n in (31, 44, 45):
+        own = tables.build(n)
+        for t in (t45, t60):
+            assert (t._rank[n], t._crank[n], t._q[n], t._spt[n]) == \
+                (own._rank[n], own._crank[n], own._q[n], own._spt[n]), n
 
 
 def test_build_lists_no_partitions_and_reads_no_series(monkeypatch, table30):
