@@ -21,10 +21,12 @@ here for every n in range under both tie-break orders.
 The suite holds no partitions.  One streamed pass per weight keeps
 each partition's crank and rank in two int lists, the positions that
 hold (n), and whether the listing strictly lex-decreases, which shows
-that no partition is listed twice.  Every verdict is read from those
-lists; the weight is listed again only to count its distinct
-partitions when the listing does not strictly decrease, and for the
-witness of a failing check.
+that no partition is listed twice.  One counting pass per statistic
+then distributes the listing positions by value, once per weight; both
+tie-breaks' position orders are read from it, with no sort.  Every
+verdict is read from those lists; the weight is listed again only to
+count its distinct partitions when the listing does not strictly
+decrease, and for the witness of a failing check.
 
 tau needs n >= 2: the weight-1 crank table convention has no partition
 listing behind it, so tau is undefined there.
@@ -32,6 +34,7 @@ listing behind it, so tau is undefined there.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -81,6 +84,10 @@ class ReorderingMap:
 
 # (cranks, ranks, positions of (n)), all in listing order
 _Listing = tuple[list[int], list[int], list[int]]
+# (runs of listing positions by ascending value, the values in ascending order)
+_Runs = tuple[list[list[int]], list[int]]
+# (crank runs, rank runs, positions of (n))
+_Distributed = tuple[_Runs, _Runs, list[int]]
 
 
 def stream_statistics(n: int) -> tuple[_Listing, bool]:
@@ -106,25 +113,47 @@ def stream_statistics(n: int) -> tuple[_Listing, bool]:
     return (cranks, ranks, tops), descending
 
 
-def _tau(n: int, tie_break: str, listing: _Listing) -> ReorderingMap:
-    """tau from a weight's listing: stable sorts of its positions by crank
-    and by rank, each statistic computed once per partition."""
+def _distribute(listing: _Listing) -> _Distributed:
+    """A weight's listing distributed by value (distribution counting):
+    for crank and for rank, the runs of listing positions that hold each
+    value, in ascending value order and each run in listing order, and
+    the statistic in ascending order.  Both statistics draw their
+    positions from one list, so the runs share its int objects."""
     cranks, ranks, tops = listing
-    # both sorts reorder the one list of positions, so the two position
-    # lists share its int objects
     order = list(range(len(cranks)))
+    return _runs(cranks, order), _runs(ranks, order), tops
+
+
+def _runs(values: list[int], order: list[int]) -> _Runs:
+    # keyed by the values that occur, so any int a statistic returns has a run
+    runs = {v: [] for v in sorted(set(values))}
+    deque(map(list.append, map(runs.__getitem__, values), order), maxlen=0)
+    return list(runs.values()), _ascending({v: len(run) for v, run in runs.items()})
+
+
+def _ascending(counts: dict[int, int]) -> list[int]:
+    """Each counted value, smallest first, repeated its count."""
+    values = sorted(counts)
+    return list(chain.from_iterable(map(repeat, values, map(counts.__getitem__, values))))
+
+
+def _tau(n: int, tie_break: str, distributed: _Distributed) -> ReorderingMap:
+    """tau from a weight's distributed listing, with no sort: the stable
+    order of the listing by a statistic is its runs chained in ascending
+    value order, and the stable order of the reversed listing (the
+    lex-ascending tie-break) chains each run reversed.  Both tie-breaks
+    share the ascending statistic lists."""
+    (crank_runs, cranks), (rank_runs, ranks), tops = distributed
     if tie_break == "lex-ascending":
-        order = order[::-1]
-    by_crank = sorted(order, key=cranks.__getitem__)
-    by_rank = sorted(order, key=ranks.__getitem__)
+        crank_runs, rank_runs = map(reversed, crank_runs), map(reversed, rank_runs)
     return ReorderingMap(
         n=n,
         tie_break=tie_break,
         tops=tops,
-        by_crank=by_crank,
-        by_rank=by_rank,
-        cranks=list(map(cranks.__getitem__, by_crank)),
-        ranks=list(map(ranks.__getitem__, by_rank)),
+        by_crank=list(chain.from_iterable(crank_runs)),
+        by_rank=list(chain.from_iterable(rank_runs)),
+        cranks=cranks,
+        ranks=ranks,
     )
 
 
@@ -132,16 +161,18 @@ def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
     """Materialize tau for weight n (n >= 2), with its partitions.
 
     The enumeration order is already lexicographically decreasing, so
-    the chosen tie-break is applied by optionally reversing before the
-    stable sorts by crank and by rank.
+    the listing distributed by crank and by rank gives the lex-descending
+    tie-break as it stands and the lex-ascending one with each run of
+    equal values reversed.
     """
     if n < 2:
         raise ValueError("tau needs n >= 2; the weight-1 table row is a convention only")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     partitions = list(enumerate_partitions(n))
-    rmap = _tau(n, tie_break, (list(map(crank, partitions)), list(map(rank, partitions)),
-                               [i for i, lam in enumerate(partitions) if lam == (n,)]))
+    rmap = _tau(n, tie_break, _distribute((
+        list(map(crank, partitions)), list(map(rank, partitions)),
+        [i for i, lam in enumerate(partitions) if lam == (n,)])))
     rmap.partitions = partitions  # the listing just made, so it is not listed again
     return rmap
 
@@ -159,9 +190,11 @@ def ospt_via_tau(rmap: ReorderingMap) -> int:
 
 def ospt_via_statistics(n: int) -> int:
     """`ospt_via_tau(build_tau(n))` from the streamed pass: tau pairs the
-    i-th smallest crank with the i-th smallest rank under either tie-break."""
+    i-th smallest crank with the i-th smallest rank under either
+    tie-break, and the ascending lists come from the value counts, as in
+    `_distribute`, with no positions distributed."""
     (cranks, ranks, _), _ = stream_statistics(n)
-    return _ospt(sorted(cranks), sorted(ranks))
+    return _ospt(_ascending(Counter(cranks)), _ascending(Counter(ranks)))
 
 
 def fixed_point_check(rmap: ReorderingMap) -> bool:
@@ -218,11 +251,12 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).
 
-    Each weight is streamed once (`stream_statistics`), and every check
-    is one statement per weight and tie-break, read from the weight's
-    crank and rank lists.  A listing of p(n) entries that strictly
-    lex-decreases holds each of them once; any other listing is listed
-    again to count its distinct partitions.  tau fixes (n) when one
+    Each weight is streamed once (`stream_statistics`) and its positions
+    distributed by crank and by rank once (`_distribute`), which gives
+    both tie-breaks' maps; every check is one statement per weight and
+    tie-break, read from the weight's crank and rank lists.  A listing
+    of p(n) entries that strictly lex-decreases holds each of them once;
+    any other listing is listed again to count its distinct partitions.  tau fixes (n) when one
     position pairs two listing positions that hold (n).  Position i
     lies in both windows exactly when the i-th crank and rank equal the
     i-th values of the weight's crank and rank rows of `table` expanded
@@ -232,7 +266,8 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     constant (once per intersection of a crank run with a rank run),
     and the first failing stretch starts at the first failing position.
     The statistics checks run for the second tie-break only when its
-    lists differ from the first's.  A failing check lists the weight
+    lists differ from the first's, which on the shared ascending lists
+    takes no pass over them.  A failing check lists the weight
     again for its witness.  The positive-rank sum and ospt are read
     from the cells and moments of `table`, which must cover n <= nmax.
     """
@@ -245,6 +280,9 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         listing, descending = stream_statistics(n)
         # the listing must hold each of the p(n) partitions exactly once
         listed, pn = len(listing[0]), partition_count(n)
+        # the maps read only the distribution, so the listing's lists go now
+        distributed = _distribute(listing)
+        del listing
         distinct = listed if descending else len(set(enumerate_partitions(n)))
         crank_row, rank_row = table.crank_row(n), table.rank_row(n)
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))
@@ -252,7 +290,7 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         ospt_values = set()
         checked = None
         for tie_break in TIE_BREAKS:
-            rmap = _tau(n, tie_break, listing)
+            rmap = _tau(n, tie_break, distributed)
             by_crank, by_rank, cranks, ranks = rmap.by_crank, rmap.by_rank, rmap.cranks, rmap.ranks
             rec.expect(
                 "tau-is-bijection",
@@ -322,5 +360,5 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
             lambda: {"n": n, "values": sorted(ospt_values)},
         )
         # free this weight's lists before the next weight is streamed
-        del listing, checked
+        del distributed, checked
     return rec.report("tau", {"nmin": 2, "nmax": nmax, "tie_breaks": list(TIE_BREAKS)})

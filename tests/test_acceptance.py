@@ -163,3 +163,16 @@ def test_criterion_11_backend_agreement(table60, accel100):
             assert table60.rank_count(m, n) == accel100.rank_count(m, n), (m, n)
             assert table60.crank_count(m, n) == accel100.crank_count(m, n), (m, n)
             assert table60.q_count(m, n) == accel100.q_count(m, n), (m, n)
+
+
+def test_criterion_11_backend_agreement_through_100(accel100):
+    # the same over the arithmetic backend's whole range, on every stored
+    # rank, crank and q row, and the enumeration's spt tally against the
+    # moment route n p(n) - N_2(n) / 2 on the arithmetic rows
+    enumerated = tables.build(100)
+    for n in range(1, 101):
+        assert enumerated._rank[n] == accel100._rank[n], n
+        assert enumerated._crank[n] == accel100._crank[n], n
+        assert enumerated._q[n] == accel100._q[n], n
+        assert (enumerated.spt_tally(n), None) == \
+            accel100._spt_from_moment(n, accel100.moment_rank(2, n)), n

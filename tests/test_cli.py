@@ -598,3 +598,29 @@ def test_version_matches_pyproject():
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     (version,) = re.findall(r'(?m)^version = "([^"]+)"$', pyproject)
     assert rankcrank.__version__ == version
+
+
+# SHA-256 of `tau` stdout at two weights under every format and seed
+# order, so that no change to how tau orders its positions moves a byte.
+TAU_STDOUT_SHA256 = {
+    ("20", "text", "lex-descending"): "d208536ac38b873b1e8d48645784e5913eccaa0fc936851d2e5a717c88ed0c98",
+    ("20", "text", "lex-ascending"): "a36c3ae5d74a1611d7a741a469489277737aa6c068ef7d816050e734af8fac31",
+    ("20", "csv", "lex-descending"): "c3920a9e45a74801fd94b45263028e47e8dc810fc56c8844b51558c9d5dbcdc2",
+    ("20", "csv", "lex-ascending"): "79b5f86b7318bfbe98f8645af9a21dae75fb2f1004c07fca7a30bedcda8f86de",
+    ("20", "json", "lex-descending"): "2886ee5e3256d2acde574db6ad9b90cc69bf2722f9533f99861e8e3dd6a6041a",
+    ("20", "json", "lex-ascending"): "67c8e73ea3c3ca74a406133f187c075cd2d6c049238bcac5573ab6e5b73228f5",
+    ("40", "text", "lex-descending"): "a3d0c7d1d7139f50ec34973485bfc6beb8a0348f903b25fe7c8d1ff77e38a91e",
+    ("40", "text", "lex-ascending"): "e29fae23c5e88ef3503e8528994fb73d1396ed68d8f0135014cdf1ad9fdf0efe",
+    ("40", "csv", "lex-descending"): "e9bf532741d279fc617d84166d182dc5d3c1a09d5ecebda50c398630777c2c10",
+    ("40", "csv", "lex-ascending"): "0a7dcba7c5ca7b670873b989c456bf9cb96b478a1caae78d4f9e218ad250d0db",
+    ("40", "json", "lex-descending"): "a574decda2163f95f6c826c9e770d361074857c27505c32e1521428ed281b87e",
+    ("40", "json", "lex-ascending"): "f5ebeeeaf19de31f0a9b8202e4fb9a1c8d51ac852f77181b7d20281fa778a950",
+}
+
+
+@pytest.mark.parametrize("key", TAU_STDOUT_SHA256, ids="-".join)
+def test_tau_stdout_unchanged(capsys, key):
+    n, fmt, seed_order = key
+    code, out, _ = run(capsys, "tau", "--n", n, "--format", fmt, "--seed-order", seed_order)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TAU_STDOUT_SHA256[key]

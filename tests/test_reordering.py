@@ -139,6 +139,49 @@ def test_build_tau_matches_literal_sorts():
             assert rmap.ranks == [rank(mu) for _, mu in expected]
 
 
+def listing_statistics(n):
+    partitions = list(enumerate_partitions(n))
+    return list(map(crank, partitions)), list(map(rank, partitions))
+
+
+# (cranks, ranks) listings the counting pass must order as a sort would:
+# an empty one, a one-value one, and ones with values a mutant statistic
+# could return, some outside -n..n, over more positions (p(18) = 385) than
+# CPython shares int objects for
+CRANKS_18, RANKS_18 = listing_statistics(18)
+HAND_MADE_LISTINGS = {
+    "empty": ([], []),
+    "single value": ([0] * 6, [-3] * 6),
+    "every rank one higher": (CRANKS_18, [r + 1 for r in RANKS_18]),
+    "every rank negated": (CRANKS_18, [-r for r in RANKS_18]),
+    "outside -n..n": ([c * 1000 - 7 for c in CRANKS_18],
+                      [(r * 37) % 11 - 10**20 for r in RANKS_18]),
+}
+
+
+@pytest.mark.parametrize("statistics", [
+    *(pytest.param(listing_statistics(n), id=f"n-{n}") for n in range(1, 13)),
+    *(pytest.param(listing, id=name) for name, listing in HAND_MADE_LISTINGS.items()),
+])
+def test_counting_order_matches_literal_sorts(statistics):
+    cranks, ranks = statistics
+    distributed = reordering._distribute((cranks, ranks, []))
+    for tie_break in TIE_BREAKS:
+        order = list(range(len(cranks)))
+        if tie_break == "lex-ascending":
+            order.reverse()
+        by_crank = sorted(order, key=cranks.__getitem__)
+        by_rank = sorted(order, key=ranks.__getitem__)
+        rmap = reordering._tau(len(cranks), tie_break, distributed)
+        assert rmap.by_crank == by_crank, tie_break
+        assert rmap.by_rank == by_rank, tie_break
+        assert rmap.cranks == [cranks[i] for i in by_crank], tie_break
+        assert rmap.ranks == [ranks[k] for k in by_rank], tie_break
+        # both position lists hold the one int object of each position
+        held = {i: i for i in rmap.by_crank}
+        assert all(held[k] is k for k in rmap.by_rank), tie_break
+
+
 def test_verify_reordering_failure_witness(monkeypatch, table30):
     # the lazy witness must read the statistics of the failing pair itself
     monkeypatch.setattr(reordering, "case_condition_holds", lambda *_: False)
