@@ -260,17 +260,26 @@ def cmd_tau(args) -> int:
         for (lam, mu), c, r in zip(rmap.pairs, rmap.cranks, rmap.ranks)
     ]
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "tie_break": args.seed_order,
-            "rows": [
-                {"partition": list(lam), "crank": c, "image": list(mu),
-                 "rank": r, "diff": d}
-                for lam, c, mu, r, d in rows
-            ],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # The layout of `json.dumps(payload, indent=2)`, written one row at a
+        # time: the payload is an object of n, tie_break and rows, each row an
+        # object of partition, crank, image, rank and diff, every list
+        # non-empty (n >= 2), and the pure-Python indenting encoder is slow.
+        parts = ",\n        ".join
+        sys.stdout.write(f'{{\n  "n": {args.n},\n'
+                         f'  "tie_break": {json.dumps(args.seed_order)},\n'
+                         f'  "rows": [')
+        sep = "\n"
+        for lam, c, mu, r, d in rows:
+            sys.stdout.write(
+                f'{sep}    {{\n'
+                f'      "partition": [\n        {parts(map(str, lam))}\n      ],\n'
+                f'      "crank": {c},\n'
+                f'      "image": [\n        {parts(map(str, mu))}\n      ],\n'
+                f'      "rank": {r},\n'
+                f'      "diff": {d}\n'
+                f'    }}')
+            sep = ",\n"
+        sys.stdout.write("\n  ]\n}\n")
     elif args.format == "csv":
         sys.stdout.write("partition,crank,image,rank,diff\n")
         for lam, c, mu, r, d in rows:

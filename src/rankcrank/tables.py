@@ -32,12 +32,15 @@ Two builders with recorded provenance:
   <= nmax, one part size s at a time: those of weight u into parts
   >= s are those into parts > s plus those of weight u - s with an s
   appended, so the tallies of u grow by slice adds of those of u - s.
-  Every partition of n is such a mu plus a block of ones, and the
-  rank, crank, rank-set and smallest-part count of mu + 1^omega follow
-  in closed form from mu's tallies and omega.  It is the required
-  backend and the oracle for everything else, and it lists no
-  partition: it neither calls `enumerate_partitions` nor reads the
-  series backend.
+  The (k, mu_k) tallies are held by part index k, one row over the
+  values mu_k per k; row 0 is the largest-part tally.  An appended s
+  leaves every earlier part where it was, so each level step is one
+  slice add per row.  Every partition of n is such a mu plus a block
+  of ones, and the rank, crank, rank-set and smallest-part count of
+  mu + 1^omega follow in closed form from mu's tallies and omega.  It
+  is the required backend and the oracle for everything else, and it
+  lists no partition: it neither calls `enumerate_partitions` nor
+  reads the series backend.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
-from operator import add, eq, ge, le, mul, sub
+from operator import add, eq, ge, itemgetter, le, mul, sub
 
 from .partitions import partition_count, partition_count_series
 from .report import CheckRecorder, VerifyReport
@@ -246,20 +249,25 @@ def build(nmax: int) -> StatTable:
       one short of the tail, so the two never join into one interval;
       the missing cell sits at the constant n - m = w - L + 1.
 
-    So each weight w needs the mu tallied by (mu_1 - L), mu_1, L and
-    (k, mu_k), their count and their summed smallest-part multiplicity.
-    Level s = nmax, ..., 2 holds these for the partitions into parts
-    >= s.  Such a partition of u has no s, and was in level s + 1, or
-    is one of weight u - s with an s appended: L grows by one, mu_1
-    stays (the empty partition's becomes s) and the new s sits at index
-    its old L.  So weight u adds weight u - s's level-s tallies, moved
-    by those rules, one slice at a time.  The appended s is the smallest
-    part, so u's multiplicity sum gains the s's of those partitions: one
-    each, plus the s's the partitions of u - s already hold.
+    So each weight w needs the mu tallied by (mu_1 - L), L and (k, mu_k),
+    their count and their summed smallest-part multiplicity.  The
+    (k, mu_k) tallies are held by part index k: row k of weight u counts
+    the mu with mu_k = v at index v <= u // (k + 1), and row 0 is the
+    largest-part tally.  Level s = nmax, ..., 2 holds these for the
+    partitions into parts >= s.  Such a partition of u has no s, and
+    was in level s + 1, or is one of weight w = u - s with an s
+    appended: L grows by one, mu_1 stays (the empty partition's becomes
+    s) and the new s sits at index its old L, so row L of u gains, at
+    v = s, the partitions of w of length L.  The parts before it stay
+    where they were, so each row k < w // s of u gains row k of w over
+    v >= s: one slice add per row.  The appended s is the smallest
+    part, so u's multiplicity sum gains the s's of those partitions:
+    one each, plus the s's the partitions of u - s already hold.
 
     One sweep over n sums the credits, which start at the row of the
-    weight w (and, for the crank, step down at w + mu_k), and frees each
-    weight's tallies once it has read them.
+    weight w (and, for the crank, step down at w + mu_k): each row k
+    spreads its points k - v with one reversed slice.  The sweep frees
+    each weight's tallies once it has read them.
 
     >>> build(4).crank_count(0, 4)
     1
@@ -270,10 +278,10 @@ def build(nmax: int) -> StatTable:
     q_off = nmax + 2  # rank-set cell m sits at m + q_off
     # Indexed by the weight u, each trimmed to the values that occur.
     rank_at = [[0] * (2 * u) for u in range(nmax + 1)]  # by mu_1 - L + u
-    top_at = [[0] * (u + 1) for u in range(nmax + 1)]  # by mu_1
     length_at = [[1]] + [[0] * (u // 2 + 1) for u in range(1, nmax + 1)]  # by L
-    # parts_at[u][v][k]: the mu with mu_k = v, for 2 <= v <= u and k < u // v
-    parts_at = [[[], []] + [[0] * (u // v) for v in range(2, u + 1)] for u in range(nmax + 1)]
+    # parts_at[u][k][v]: the mu with mu_k = v, for k < u // 2 and v <= u // (k + 1);
+    # row 0 tallies mu_1
+    parts_at = [[[0] * (u // (k + 1) + 1) for k in range(u // 2)] for u in range(nmax + 1)]
     counts = [1] + [0] * nmax
     smallest_at = [0] * (nmax + 1)  # smallest-part multiplicities
     for s in range(nmax, 1, -1):
@@ -286,19 +294,18 @@ def build(nmax: int) -> StatTable:
             if w:
                 dst = rank_at[u]
                 dst[s - 1:s - 1 + 2 * w] = map(add, dst[s - 1:], rank_at[w])
-                dst = top_at[u]
-                dst[:w + 1] = map(add, dst, top_at[w])
             else:  # mu = (s)
                 rank_at[u][2 * s - 1] += 1
-                top_at[u][s] += 1
-            lengths = length_at[w][:w // s + 1]  # the lengths that parts >= s reach
+            top = w // s  # the most parts a partition of w into parts >= s has
+            lengths = length_at[w][:top + 1]
             dst = length_at[u]
-            dst[1:len(lengths) + 1] = map(add, dst[1:], lengths)
-            parts = parts_at[u]
-            dst = parts[s]
-            dst[:len(lengths)] = map(add, dst, lengths)
-            for dst, col in zip(parts[s:w + 1], parts_at[w][s:]):
-                dst[:len(col)] = map(add, dst, col)
+            dst[1:top + 2] = map(add, dst[1:], lengths)
+            rows = parts_at[u]
+            for row, count in zip(rows, lengths):  # the new s at index L
+                row[s] += count
+            for k in range(top):  # mu_k over v >= s
+                dst = rows[k]
+                dst[s:w // (k + 1) + 1] = map(add, dst[s:], parts_at[w][k][s:])
     # crank_step[n][c]: cranks in row n whose index drops from c + 1 to c
     # (a step at n = w + mu_k > nmax is never read, so it is not credited)
     crank_step = [[0] * (2 * n + 1) for n in range(nmax + 1)]
@@ -319,12 +326,13 @@ def build(nmax: int) -> StatTable:
     for n in range(1, nmax + 1):
         rank_run[:2 * n] = map(add, rank_run, rank_at[n])
         tail_run[:n // 2 + 1] = map(add, tail_run, length_at[n])
-        for v, col in enumerate(parts_at[n][2:], 2):
-            start = q_off - v
-            point_run[start:start + len(col)] = map(add, point_run[start:], col)
-            if n + v <= nmax:
-                dst = crank_step[n + v]
-                dst[n:n + len(col)] = map(add, dst[n:], col)
+        rows = parts_at[n]
+        for k, row in enumerate(rows):  # the points k - v for v = n // (k + 1), ..., 2
+            start = k + q_off - n // (k + 1)
+            point_run[start:k + q_off - 1] = map(add, point_run[start:], row[:1:-1])
+        for v in range(2, min(n, nmax - n) + 1):  # mu_k = v steps down at n + v
+            dst = crank_step[n + v]
+            dst[n:n + n // v] = map(add, dst[n:], map(itemgetter(v), rows[:n // v]))
         # omega = 1 for the mu of weight n - 1
         for size, count in enumerate(length_at[n - 1]):
             if count:
@@ -337,22 +345,19 @@ def build(nmax: int) -> StatTable:
         crank_run[:2 * n + 1] = map(add, crank_run, step)
         crank_run[1:2 * n + 2] = map(sub, crank_run[1:], step)
         crank_row = crank_run[:2 * n + 1]
-        crank_row[n:] = map(add, crank_row[n:], top_at[n])
         if n == 1:
             crank_row = [WEIGHT_ONE_CRANK_ROW[m] for m in (-1, 0, 1)]
+        else:  # omega = 0: crank mu_1
+            crank_row[n:] = map(add, crank_row[n:], rows[0])
         q_row = point_run[q_off - n:q_off + n + 3]
-        in_tail = 0
-        for m in range(n + 3):
-            in_tail += tail_run[m]
-            q_row[m + n] += in_tail
-        for d in range(1, n + 1):
-            q_row[2 * n - d] -= gap_run[d]
+        q_row[n:] = map(add, q_row[n:], accumulate(tail_run[:n + 3]))
+        q_row[n:2 * n] = map(sub, q_row[n:2 * n], gap_run[n:0:-1])  # gap d at index 2n - d
         rank_rows.append(rank_run[:2 * n + 1])
         crank_rows.append(crank_row)
         q_rows.append(q_row)
         spt_tallies.append(smallest_at[n] + ones_total)
         # the tallies read for the last time
-        rank_at[n] = top_at[n] = parts_at[n] = crank_step[n] = length_at[n - 1] = None
+        rank_at[n] = parts_at[n] = crank_step[n] = length_at[n - 1] = None
     return StatTable(nmax, rank_rows, crank_rows, q_rows, spt_tallies, "enumerated")
 
 

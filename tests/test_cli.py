@@ -266,6 +266,22 @@ def test_tau_json_tie_break(capsys):
         assert row["crank"] - row["rank"] == row["diff"]
 
 
+@pytest.mark.parametrize("n", ["5", "9"])
+@pytest.mark.parametrize("seed_order", reordering.TIE_BREAKS)
+def test_tau_json_matches_indenting_encoder(capsys, n, seed_order):
+    # the rows are written as formatted lines; the layout is the encoder's
+    code, out, _ = run(capsys, "tau", "--n", n, "--format", "json", "--seed-order", seed_order)
+    rmap = reordering.build_tau(int(n), seed_order)
+    payload = {
+        "n": int(n),
+        "tie_break": seed_order,
+        "rows": [{"partition": list(lam), "crank": c, "image": list(mu), "rank": r, "diff": c - r}
+                 for (lam, mu), c, r in zip(rmap.pairs, rmap.cranks, rmap.ranks)],
+    }
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_tau_out_of_range(capsys):
     code, _, err = run(capsys, "tau", "--n", "1")
     assert code == 2

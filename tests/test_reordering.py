@@ -106,6 +106,20 @@ def test_tau_rejects_bad_input():
         build_tau(5, "random")
 
 
+@pytest.mark.parametrize("positions, length, expected", [
+    ([2, 0, 1], 3, True),
+    ([], 0, True),
+    ([0, 1, 1], 3, False),   # a repeated position
+    ([0, 3, 1], 3, False),   # a position equal to the length
+    ([0, -1, 1], 3, False),  # a negative position
+    ([1, 0], 3, False),      # a short list
+    ([], 2, False),          # the empty list against a non-empty listing
+    ([0], 0, False),
+])
+def test_is_permutation(positions, length, expected):
+    assert reordering._is_permutation(positions, length) is expected
+
+
 def test_verify_reordering_suite(table30):
     rep = verify_reordering(22, table=table30)
     assert rep.suite == "tau"
