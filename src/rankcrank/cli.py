@@ -249,16 +249,16 @@ def cmd_verify(args) -> int:
 
 
 def _parts_text(p) -> str:
-    return "(" + ",".join(str(v) for v in p) + ")"
+    return "(" + ",".join(map(str, p)) + ")"
 
 
 def cmd_tau(args) -> int:
     _nmax(("tau", None), args.n)
     rmap = reordering.build_tau(args.n, args.seed_order)
-    rows = [
-        (lam, c, mu, r, c - r)
-        for (lam, mu), c, r in zip(rmap.pairs, rmap.cranks, rmap.ranks)
-    ]
+    partitions = rmap.partitions
+    # (lambda, crank(lambda), tau(lambda), rank(tau(lambda))), crank-ascending
+    rows = zip(map(partitions.__getitem__, rmap.by_crank), rmap.cranks,
+               map(partitions.__getitem__, rmap.by_rank), rmap.ranks)
     if args.format == "json":
         # The layout of `json.dumps(payload, indent=2)`, written one row at a
         # time: the payload is an object of n, tie_break and rows, each row an
@@ -269,31 +269,32 @@ def cmd_tau(args) -> int:
                          f'  "tie_break": {json.dumps(args.seed_order)},\n'
                          f'  "rows": [')
         sep = "\n"
-        for lam, c, mu, r, d in rows:
+        for lam, c, mu, r in rows:
             sys.stdout.write(
                 f'{sep}    {{\n'
                 f'      "partition": [\n        {parts(map(str, lam))}\n      ],\n'
                 f'      "crank": {c},\n'
                 f'      "image": [\n        {parts(map(str, mu))}\n      ],\n'
                 f'      "rank": {r},\n'
-                f'      "diff": {d}\n'
+                f'      "diff": {c - r}\n'
                 f'    }}')
             sep = ",\n"
         sys.stdout.write("\n  ]\n}\n")
     elif args.format == "csv":
         sys.stdout.write("partition,crank,image,rank,diff\n")
-        for lam, c, mu, r, d in rows:
+        for lam, c, mu, r in rows:
             sys.stdout.write(
-                f"{'+'.join(map(str, lam))},{c},{'+'.join(map(str, mu))},{r},{d}\n")
+                f"{'+'.join(map(str, lam))},{c},{'+'.join(map(str, mu))},{r},{c - r}\n")
     else:
-        left = max(len("partition"), *(len(_parts_text(lam)) for lam, *_ in rows))
-        mid = max(len(_parts_text(mu)) for _, _, mu, _, _ in rows)
+        # tau is a bijection, so both columns hold every partition once
+        mid = max(map(len, map(_parts_text, partitions)))
+        left = max(len("partition"), mid)
         sys.stdout.write(
             f"{'partition':>{left}}  {'crank':>5}  {'image':>{mid}}  {'rank':>4}  {'diff':>4}\n")
-        for lam, c, mu, r, d in rows:
+        for lam, c, mu, r in rows:
             sys.stdout.write(
-                f"{_parts_text(lam):>{left}}  {c:>5}  {_parts_text(mu):>{mid}}  {r:>4}  {d:>4}\n")
-    _narrate(f"tau on {len(rows)} partitions of {args.n}, tie-break {args.seed_order}")
+                f"{_parts_text(lam):>{left}}  {c:>5}  {_parts_text(mu):>{mid}}  {r:>4}  {c - r:>4}\n")
+    _narrate(f"tau on {len(partitions)} partitions of {args.n}, tie-break {args.seed_order}")
     return 0
 
 

@@ -26,7 +26,9 @@ then distributes the listing positions by value, once per weight; both
 tie-breaks' position orders are read from it, with no sort.  Every
 verdict is read from those lists; the weight is listed again only to
 count its distinct partitions when the listing does not strictly
-decrease, and for the witness of a failing check.
+decrease, and for the witness of a failing check.  `build_tau`, which
+the `tau` command reads, is the same pass and distribution for one
+weight and tie-break; its map lists the partitions on first read.
 
 tau needs n >= 2: the weight-1 crank table convention has no partition
 listing behind it, so tau is undefined there.
@@ -58,12 +60,10 @@ class ReorderingMap:
     (partitions[by_crank[i]], partitions[by_rank[i]]), with
     cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda)); `tops`
     are the listing positions that hold (n).  The partitions themselves
-    are listed on first read, and the list `pairs` is built on demand
-    from them.
+    are listed on first read.
     """
 
     n: int
-    tie_break: str
     tops: list[int] = field(repr=False)
     by_crank: list[int] = field(repr=False)
     by_rank: list[int] = field(repr=False)
@@ -74,12 +74,6 @@ class ReorderingMap:
     def partitions(self) -> list[tuple[int, ...]]:
         """The weight's listing, in the enumeration order the positions index."""
         return list(enumerate_partitions(self.n))
-
-    @property
-    def pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """[(lambda, tau(lambda)), ...] in crank-ascending order."""
-        partitions = self.partitions
-        return [(partitions[i], partitions[k]) for i, k in zip(self.by_crank, self.by_rank)]
 
 
 # (cranks, ranks, positions of (n)), all in listing order
@@ -148,7 +142,6 @@ def _tau(n: int, tie_break: str, distributed: _Distributed) -> ReorderingMap:
         crank_runs, rank_runs = map(reversed, crank_runs), map(reversed, rank_runs)
     return ReorderingMap(
         n=n,
-        tie_break=tie_break,
         tops=tops,
         by_crank=list(chain.from_iterable(crank_runs)),
         by_rank=list(chain.from_iterable(rank_runs)),
@@ -158,7 +151,8 @@ def _tau(n: int, tie_break: str, distributed: _Distributed) -> ReorderingMap:
 
 
 def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
-    """Materialize tau for weight n (n >= 2), with its partitions.
+    """tau for weight n (n >= 2), from the suite's own streamed pass and
+    distribution; the partitions are listed on first read.
 
     The enumeration order is already lexicographically decreasing, so
     the listing distributed by crank and by rank gives the lex-descending
@@ -169,12 +163,7 @@ def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
         raise ValueError("tau needs n >= 2; the weight-1 table row is a convention only")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    partitions = list(enumerate_partitions(n))
-    rmap = _tau(n, tie_break, _distribute((
-        list(map(crank, partitions)), list(map(rank, partitions)),
-        [i for i, lam in enumerate(partitions) if lam == (n,)])))
-    rmap.partitions = partitions  # the listing just made, so it is not listed again
-    return rmap
+    return _tau(n, tie_break, _distribute(stream_statistics(n)[0]))
 
 
 def _ospt(cranks: list[int], ranks: list[int]) -> int:

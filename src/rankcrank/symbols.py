@@ -141,8 +141,8 @@ def rank_set_has_m(symbol: MDurfeeSymbol) -> bool:
 
 def format_symbol(symbol: MDurfeeSymbol) -> str:
     """Serialize to the two-row text form, e.g. ``[4,3,3,2 | 3,2,2,2]_(5x3)``."""
-    top = ",".join(str(v) for v in symbol.alpha)
-    bottom = ",".join(str(v) for v in symbol.beta)
+    top = ",".join(map(str, symbol.alpha))
+    bottom = ",".join(map(str, symbol.beta))
     return f"[{top} | {bottom}]_({symbol.m + symbol.j}x{symbol.j})"
 
 

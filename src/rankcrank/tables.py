@@ -56,7 +56,7 @@ Two builders with recorded provenance:
   table carries no smallest-part tally.
 
 The two backends must agree cell for cell; the acceptance suite checks
-this through n = 60 before the accelerated one is used at larger n.
+this through n = 100.
 """
 
 from __future__ import annotations

@@ -72,3 +72,9 @@ def first_outside_windows(cranks, ranks, crank_row, rank_row, n) -> int:
                 and cum_rank[b + n] < i <= cum_rank[b + n + 1]):
             return i
     return 0
+
+
+def tau_pairs(rmap) -> list:
+    """[(lambda, tau(lambda)), ...] of a `ReorderingMap`, crank-ascending."""
+    partitions = rmap.partitions
+    return [(partitions[i], partitions[k]) for i, k in zip(rmap.by_crank, rmap.by_rank)]

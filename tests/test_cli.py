@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import rankcrank
+from oracles import tau_pairs
 from rankcrank import cli, injections, partitions, qseries, reordering, tables
 from rankcrank.cli import RANGES, TABLE_SUITES, build_parser, main
 from rankcrank.report import VerifyReport
@@ -276,10 +277,25 @@ def test_tau_json_matches_indenting_encoder(capsys, n, seed_order):
         "n": int(n),
         "tie_break": seed_order,
         "rows": [{"partition": list(lam), "crank": c, "image": list(mu), "rank": r, "diff": c - r}
-                 for (lam, mu), c, r in zip(rmap.pairs, rmap.cranks, rmap.ranks)],
+                 for (lam, mu), c, r in zip(tau_pairs(rmap), rmap.cranks, rmap.ranks)],
     }
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_tau_reads_the_suites_streamed_pass(capsys, monkeypatch):
+    # the command's map comes from the tau suite's one statistics pass
+    calls = []
+    stream_statistics = reordering.stream_statistics
+
+    def counted(n):
+        calls.append(n)
+        return stream_statistics(n)
+
+    monkeypatch.setattr(reordering, "stream_statistics", counted)
+    code, _, _ = run(capsys, "tau", "--n", "8")
+    assert code == 0
+    assert calls == [8]
 
 
 def test_tau_out_of_range(capsys):
