@@ -11,12 +11,13 @@ first call; `build_parser` builds a fresh one each time it is called.
 Every supported range (lowest, default and highest nmax of each
 request, and its clamp under `verify --suite all`) lives in `RANGES`
 below; anything outside its row exits 2 before any work starts.  A
-`verify` run builds at most two tables before its first suite.  The
-table suites read the chosen backend's table.  The map suites
-(injections, tau) compare the partitions they list with the arithmetic
-table, so they never build an enumeration table: they share one
-accelerated table, which on the arithmetic backend is also the table
-suites' own.
+`verify` run builds at most two tables before its first suite; a
+series table forms its q rows later, when a suite first reads them
+(identities and injections do, inside their own timing).  The table
+suites read the chosen backend's table.  The map suites (injections,
+tau) compare the partitions they list with the arithmetic table, so
+they never build an enumeration table: they share one accelerated
+table, which on the arithmetic backend is also the table suites' own.
 """
 
 from __future__ import annotations

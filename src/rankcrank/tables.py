@@ -8,10 +8,11 @@
 
 densely over |m| <= n (the q row over -n <= m <= n + 2).  The rows
 are all a table stores, but for the power lists m^k of the last weight
-whose moments were read (see `StatTable`).  Each row is padded with
-three zeros on either side (the q row below only), so cell m of weight
-n sits at index m + n + 3, and a read clamps m's index to the row's
-ends, where the row is constant (0, or p(n) at the top of a q row).
+whose moments were read and, until a q cell is first read, the function
+that forms the q rows (see `StatTable`).  Each row is padded with three
+zeros on either side (the q row below only), so cell m of weight n sits
+at index m + n + 3, and a read clamps m's index to the row's ends,
+where the row is constant (0, or p(n) at the top of a q row).
 Cumulations are sums over a slice of the row.  All entries are Python
 ints, so counts and moments are exact at any size: arithmetic cannot
 overflow or wrap, it just grows.
@@ -46,14 +47,15 @@ Two builders with recorded provenance:
   Euler product (which reproduces the weight-1 crank convention by
   itself), summed column by column, one column over n per m, each term
   one shared difference series p(i) - p(i - k), and read back into
-  rows; q rows for m >= 0 from a sum over m-Durfee rectangles of
-  filling series F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running
-  series per m: F_{m,0} counts partitions with parts <= m, and two
-  in-place divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells
-  use the fact that conjugation complements rank-sets: m is in the
-  rank-set of a partition iff -m - 1 is not in the rank-set of its
-  conjugate (verified exhaustively in the tests).  The accelerated
-  table carries no smallest-part tally.
+  rows; q rows, formed on the table's first q read, for m >= 0 from a
+  sum over m-Durfee rectangles of filling series
+  F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running series per m:
+  F_{m,0} counts partitions with parts <= m, and two in-place
+  divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells use the
+  fact that conjugation complements rank-sets: m is in the rank-set of
+  a partition iff -m - 1 is not in the rank-set of its conjugate
+  (verified exhaustively in the tests).  The accelerated table carries
+  no smallest-part tally.
 
 The two backends must agree cell for cell; the acceptance suite checks
 this through n = 100.
@@ -62,6 +64,7 @@ this through n = 100.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add, eq, ge, itemgetter, le, mul, sub
 
@@ -81,16 +84,19 @@ class StatTable:
 
     The stored rows are the whole state, but for the power lists of one
     weight, which the moments share until a moment of another weight is
-    read.  Each weight's rank and crank rows carry three zeros on each
-    side and its q row three zeros below, so cell m of weight n sits at
-    index m + n + 3 of every row.  One read checks n and clamps m's index
-    to the row's own ends: beyond its band a row is constant, 0 for rank
+    read.  Both builders hand over the q rows as a zero-argument function
+    that returns them; the first q read calls it once, pads its rows and
+    drops it, so a table nothing asks q of never forms them.  Each
+    weight's rank and crank rows carry three zeros on each side and its
+    q row three zeros below, so cell m of weight n sits at index
+    m + n + 3 of every row.  One read checks n and clamps m's index to
+    the row's own ends: beyond its band a row is constant, 0 for rank
     and crank, and for q 0 below -n and q(n + 2, n) = p(n) above.  Every
     reader takes its row through it, so every reader raises ValueError
     for n outside 1..nmax.
     """
 
-    def __init__(self, nmax, rank_rows, crank_rows, q_rows, spt_tallies, provenance):
+    def __init__(self, nmax, rank_rows, crank_rows, make_q_rows, spt_tallies, provenance):
         if nmax < 1:
             raise ValueError("nmax must be >= 1")
         self.nmax = nmax
@@ -98,9 +104,16 @@ class StatTable:
         pad = [0, 0, 0]
         self._rank = [None] + [pad + row + pad for row in rank_rows[1:]]  # 2n + 7 cells
         self._crank = [None] + [pad + row + pad for row in crank_rows[1:]]
-        self._q = [None] + [pad + row for row in q_rows[1:]]  # 2n + 6 cells, to m = n + 2
+        self._make_q_rows = make_q_rows  # () -> the q rows, called on the first q read
         self._spt = spt_tallies  # _spt[n]: smallest-part tally, or None
         self._powers = (None, {})  # (n, {k: m^k over -n - 3 <= m <= n + 3})
+
+    @cached_property
+    def _q(self) -> list:
+        """The padded q rows, formed on first read; 2n + 6 cells, to m = n + 2."""
+        q_rows = self._make_q_rows()
+        del self._make_q_rows
+        return [None] + [[0, 0, 0] + row for row in q_rows[1:]]
 
     def _read(self, rows: list, n: int, m: int = 0) -> tuple:
         """Row n of `rows` and the index of cell m in it, clamped to the row."""
@@ -358,7 +371,7 @@ def build(nmax: int) -> StatTable:
         spt_tallies.append(smallest_at[n] + ones_total)
         # the tallies read for the last time
         rank_at[n] = parts_at[n] = crank_step[n] = length_at[n - 1] = None
-    return StatTable(nmax, rank_rows, crank_rows, q_rows, spt_tallies, "enumerated")
+    return StatTable(nmax, rank_rows, crank_rows, lambda: q_rows, spt_tallies, "enumerated")
 
 
 def _rows_from_series(nmax: int, base_exponent) -> list:
@@ -394,12 +407,11 @@ def _rows_from_series(nmax: int, base_exponent) -> list:
     return [None] + [list(at[n][n:0:-1] + at[n][:n + 1]) for n in range(1, nmax + 1)]
 
 
-def build_accelerated(nmax: int) -> StatTable:
-    """Compute the same tables arithmetically; no enumeration, no tally.
+def _q_rows(nmax: int) -> list:
+    """The q rows [q(-n, n), ..., q(n + 2, n)] for 1 <= n <= nmax, at index n.
 
-    Rank/crank rows come from `_rows_from_series`.  For m >= 0 the q
-    counts q(m, n), n <= nmax, are the coefficients of a sum over the
-    m-Durfee rectangle widths j >= 0:
+    For m >= 0 the q counts q(m, n), n <= nmax, are the coefficients of
+    a sum over the m-Durfee rectangle widths j >= 0:
 
       sum over j of q^(j(m+j+1)) F_{m,j},   F_{m,j} = 1/((q)_{m+j} (q)_j).
 
@@ -414,15 +426,8 @@ def build_accelerated(nmax: int) -> StatTable:
     still place at some n <= nmax.
     Entries for m < 0 use the conjugation complement
     q(m, n) = p(n) - q(-m - 1, n).
-
-    >>> [build_accelerated(10).q_count(m, 10) for m in (-3, 0, 1, 2)]
-    [12, 23, 26, 30]
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     ps = partition_count_series(nmax)
-    rank_rows = _rows_from_series(nmax, lambda k, m: k * (3 * k - 1) // 2 + m * k)
-    crank_rows = _rows_from_series(nmax, lambda k, m: k * (k - 1) // 2 + m * k)
     bounded = [1] + [0] * nmax  # F_{m,0}: the partitions with parts <= m
     q_cols = []  # q_cols[m][n] = q(m, n) for 0 <= m <= nmax + 2
     for m in range(nmax + 3):
@@ -441,9 +446,25 @@ def build_accelerated(nmax: int) -> StatTable:
             bounded[a] += bounded[a - m - 1]
     at = list(zip(*q_cols))  # at[n][m] = q(m, n) for 0 <= m <= nmax + 2
     # m < 0 reads q(-m - 1, n), from m = -n (index n - 1) up to m = -1 (index 0)
-    q_rows = [None] + [list(map(sub, repeat(ps[n]), at[n][n - 1::-1])) + list(at[n][:n + 3])
-                       for n in range(1, nmax + 1)]
-    return StatTable(nmax, rank_rows, crank_rows, q_rows, None, "accelerated")
+    return [None] + [list(map(sub, repeat(ps[n]), at[n][n - 1::-1])) + list(at[n][:n + 3])
+                     for n in range(1, nmax + 1)]
+
+
+def build_accelerated(nmax: int) -> StatTable:
+    """Compute the same tables arithmetically; no enumeration, no tally.
+
+    Rank/crank rows come from `_rows_from_series`.  The q rows come
+    from `_q_rows`, which the table calls the first time a q cell is
+    read, so a table that is never asked for q never forms them.
+
+    >>> [build_accelerated(10).q_count(m, 10) for m in (-3, 0, 1, 2)]
+    [12, 23, 26, 30]
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    rank_rows = _rows_from_series(nmax, lambda k, m: k * (3 * k - 1) // 2 + m * k)
+    crank_rows = _rows_from_series(nmax, lambda k, m: k * (k - 1) // 2 + m * k)
+    return StatTable(nmax, rank_rows, crank_rows, lambda: _q_rows(nmax), None, "accelerated")
 
 
 def verify_identities(table: StatTable) -> VerifyReport:

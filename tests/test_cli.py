@@ -516,6 +516,7 @@ DESK_STDOUT_SHA256 = {
     ("table", "crank", "text"): "3e118026478b9528d8efe3ed661315ca3be89461573a78792fa9ef09a1148408",
     ("verify", "identities"): "9a0a2c2885c43253e82e0061da0f3fa81490fec3e775f0ab35bff5e5d7f6ddf4",
     ("verify", "bounds"): "7c17cb9c14ed24ecd2ea7199117abbd24356ac04ca511218b1479a4550fdbeeb",
+    ("verify", "genfun"): "6f59cf2e7bff6764e62538abda9b8f4fdd1b62d92a137bd8b0755d0b86940d89",
     ("ospt", "genfun"): "b3a43b9a019aad3022f15190f8c32015a7788936aeaf70d058c92672d7961c7d",
 }
 
@@ -533,6 +534,47 @@ def test_desk_request_stdout_unchanged(capsys, key):
     assert code == 0
     out = re.sub(r'\n  "elapsed_ms": \d+', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == DESK_STDOUT_SHA256[key]
+
+
+# Requests and how many times each forms the series table's q rows: only
+# the suites that read a q cell pay for them.
+Q_ROWS_FORMED = [
+    (("table", "--stat", "both", "--nmax", "30", "--backend", "accelerated"), 0),
+    (("verify", "--suite", "bounds", "--nmax", "30", "--extended"), 0),
+    (("verify", "--suite", "genfun", "--nmax", "30", "--backend", "accelerated"), 0),
+    (("verify", "--suite", "tau", "--nmax", "8"), 0),
+    (("verify", "--suite", "identities", "--nmax", "30", "--extended"), 1),
+]
+
+
+def counting_q_rows(monkeypatch):
+    """The nmax of every `tables._q_rows` call from now on."""
+    calls = []
+    q_rows = tables._q_rows
+
+    def counted(nmax):
+        calls.append(nmax)
+        return q_rows(nmax)
+
+    monkeypatch.setattr(tables, "_q_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, formed", Q_ROWS_FORMED,
+                         ids=["table", "bounds", "genfun", "tau", "identities"])
+def test_series_table_forms_q_rows_only_when_read(capsys, monkeypatch, argv, formed):
+    calls = counting_q_rows(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [30] * formed
+
+
+def test_series_table_forms_q_rows_once(monkeypatch):
+    calls = counting_q_rows(monkeypatch)
+    table = tables.build_accelerated(12)
+    assert calls == []
+    assert [table.q_count(-3, 10), table.q_count(2, 10)] == [12, 30]
+    assert calls == [12]
 
 
 # Interleaved requests through main's one parser: an argparse error, an
