@@ -287,8 +287,10 @@ def cmd_tau(args) -> int:
             sys.stdout.write(
                 f"{'+'.join(map(str, lam))},{c},{'+'.join(map(str, mu))},{r},{c - r}\n")
     else:
-        # tau is a bijection, so both columns hold every partition once
-        mid = max(map(len, map(_parts_text, partitions)))
+        # Both columns hold every partition once (tau is a bijection), and
+        # 1^n is the widest: a text is one character plus len(str(k)) + 1
+        # per part k, which is at most 2k, with equality only at k = 1.
+        mid = 2 * args.n + 1
         left = max(len("partition"), mid)
         sys.stdout.write(
             f"{'partition':>{left}}  {'crank':>5}  {'image':>{mid}}  {'rank':>4}  {'diff':>4}\n")
@@ -354,22 +356,19 @@ def cmd_ospt(args) -> int:
         raise UsageError(f"--methods must be a non-empty subset of {','.join(OSPT_METHODS)}")
     # checked against every chosen method's row; the rows share one default
     max_n = min(_nmax(("ospt", m), args.max_n) for m in methods)
-    values: dict[str, dict[int, int]] = {m: {} for m in methods}
+    # each route's values as one list indexed by n; tau has none below n = 2
+    values: dict[str, list[int | None]] = {}
     if "moments" in methods:
         table = _table(max_n, "enumerated")
-        for n in range(1, max_n + 1):
-            values["moments"][n] = table.ospt_moments(n)
+        values["moments"] = [None, *map(table.ospt_moments, range(1, max_n + 1))]
     if "tau" in methods:
-        for n in range(2, max_n + 1):
-            values["tau"][n] = reordering.ospt_via_statistics(n)
+        values["tau"] = [None, None, *map(reordering.ospt_via_statistics, range(2, max_n + 1))]
     if "genfun" in methods:
-        series = qseries.ospt_series(max_n)
-        for n in range(1, max_n + 1):
-            values["genfun"][n] = series[n]
+        values["genfun"] = qseries.ospt_series(max_n)
     sys.stdout.write("n," + ",".join(methods) + "\n")
     agree = True
     for n in range(1, max_n + 1):
-        row = [values[m].get(n) for m in methods]
+        row = [values[m][n] for m in methods]
         if len({v for v in row if v is not None}) > 1:
             agree = False
         sys.stdout.write(f"{n}," + ",".join("-" if v is None else str(v) for v in row) + "\n")

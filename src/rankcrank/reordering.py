@@ -28,7 +28,7 @@ verdict is read from those lists; the weight is listed again only to
 count its distinct partitions when the listing does not strictly
 decrease, and for the witness of a failing check.  `build_tau`, which
 the `tau` command reads, is the same pass and distribution for one
-weight and tie-break; its map lists the partitions on first read.
+weight and tie-break; its map lists the partitions on each read.
 
 tau needs n >= 2: the weight-1 crank table convention has no partition
 listing behind it, so tau is undefined there.
@@ -37,10 +37,9 @@ listing behind it, so tau is undefined there.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import countOf, eq, gt, ne, sub
+from typing import NamedTuple
 
 from .partitions import enumerate_partitions, partition_count
 from .report import CheckRecorder, VerifyReport
@@ -52,25 +51,25 @@ TIE_BREAKS = ("lex-descending", "lex-ascending")
 _BATCH = 4096
 
 
-@dataclass
-class ReorderingMap:
+class ReorderingMap(NamedTuple):
     """tau for one weight, held as positions into the weight's listing.
 
     The i-th pair, crank-ascending, is (lambda, tau(lambda)) =
     (partitions[by_crank[i]], partitions[by_rank[i]]), with
     cranks[i] = crank(lambda) and ranks[i] = rank(tau(lambda)); `tops`
-    are the listing positions that hold (n).  The partitions themselves
-    are listed on first read.
+    are the listing positions that hold (n).  The map holds no
+    partitions: `partitions` lists the weight again on each read, so a
+    reader reads it once.
     """
 
     n: int
-    tops: list[int] = field(repr=False)
-    by_crank: list[int] = field(repr=False)
-    by_rank: list[int] = field(repr=False)
-    cranks: list[int] = field(repr=False)
-    ranks: list[int] = field(repr=False)
+    tops: list[int]
+    by_crank: list[int]
+    by_rank: list[int]
+    cranks: list[int]
+    ranks: list[int]
 
-    @cached_property
+    @property
     def partitions(self) -> list[tuple[int, ...]]:
         """The weight's listing, in the enumeration order the positions index."""
         return list(enumerate_partitions(self.n))
@@ -152,7 +151,7 @@ def _tau(n: int, tie_break: str, distributed: _Distributed) -> ReorderingMap:
 
 def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
     """tau for weight n (n >= 2), from the suite's own streamed pass and
-    distribution; the partitions are listed on first read.
+    distribution; the partitions are listed on each read.
 
     The enumeration order is already lexicographically decreasing, so
     the listing distributed by crank and by rank gives the lex-descending

@@ -17,33 +17,28 @@ by a streamed comparison first.  A check is listed only once it ran on
 some instance: an `expect_each` scope with no instances records
 nothing, so a check whose every scope is empty is absent from the
 report rather than a pass.  The recorder also times the suite and
-assembles its report.
+assembles its report.  Checks and reports are named tuples; a report's
+JSON form lists each check as its `_asdict()`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from operator import and_, eq
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # "pass" or "fail"
     witness: dict[str, Any] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "status": self.status, "witness": self.witness}
 
-
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     suite: str
     range: dict[str, Any]
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: Sequence[CheckResult] = ()
     elapsed_ms: int = 0
     info: dict[str, Any] | None = None
 
@@ -55,7 +50,7 @@ class VerifyReport:
         out: dict[str, Any] = {
             "suite": self.suite,
             "range": self.range,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "elapsed_ms": self.elapsed_ms,
         }
         if self.info is not None:

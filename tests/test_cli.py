@@ -500,6 +500,17 @@ def test_console_script_subprocess():
     assert "1" in proc.stdout
 
 
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples, so starting the CLI compiles neither module
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rankcrank.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(rankcrank.__file__).parents[1])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # SHA-256 of the stdout of each desk-scale request kind at nmax 100, so
 # that no change to how the tables layer reads rows or the CLI writes them
 # moves a byte; a verify report is hashed without its "elapsed_ms" line,

@@ -329,8 +329,8 @@ def test_second_tie_break_is_checked(monkeypatch, table30):
     def mutant(n, tie_break, listing):
         rmap = real(n, tie_break, listing)
         if tie_break == "lex-ascending":
-            rmap.by_rank = rmap.by_rank[-2::-1] + rmap.by_rank[-1:]
-            rmap.ranks = rmap.ranks[-2::-1] + rmap.ranks[-1:]
+            rmap = rmap._replace(by_rank=rmap.by_rank[-2::-1] + rmap.by_rank[-1:],
+                                 ranks=rmap.ranks[-2::-1] + rmap.ranks[-1:])
         return rmap
 
     monkeypatch.setattr(reordering, "_tau", mutant)

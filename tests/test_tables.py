@@ -200,6 +200,12 @@ def test_bounds_on_n():
         t.spt_tally(0)
     with pytest.raises(ValueError):
         tables.build(0)
+    for nmax in (0, -1):
+        with pytest.raises(ValueError, match="nmax must be >= 1"):
+            tables.build_accelerated(nmax)
+    # a table built directly with no weights
+    with pytest.raises(ValueError, match="nmax must be >= 1"):
+        tables.StatTable(0, [None], [None], lambda: [None], None, "enumerated")
 
 
 CELL_READS = ("rank_count", "crank_count", "q_count", "cum_rank", "cum_crank", "p_ge")
@@ -326,6 +332,14 @@ def test_verify_bounds_suite(table30):
     ids = {c.id for c in rep.checks}
     assert "ospt-at-most-half-crank-zero-gap" in ids
     assert "spt-at-most-sqrt-n-p" in ids
+
+
+@pytest.mark.parametrize("nmax", [1, 2])
+def test_verify_bounds_trend_ratios_stop_at_nmax(nmax):
+    # one ratio row per m in -1, -2, -3 with -m <= nmax
+    rows = tables.verify_bounds(tables.build(nmax)).info["asymptotic-trend-ratios"]
+    assert [row["m"] for row in rows] == [-1, -2][:nmax]
+    assert {row["n"] for row in rows} == {nmax}
 
 
 def test_failure_reporting_is_witnessed():
