@@ -7,15 +7,15 @@
 * q(m, n): partitions of n whose rank-set contains m,
 
 densely over |m| <= n (the q row over -n <= m <= n + 2).  The rows
-are all a table stores, but for the power lists m^k of the last weight
-whose moments were read and, until a q cell is first read, the function
-that forms the q rows (see `StatTable`).  Each row is padded with three
-zeros on either side (the q row below only), so cell m of weight n sits
-at index m + n + 3, and a read clamps m's index to the row's ends,
-where the row is constant (0, or p(n) at the top of a q row).
-Cumulations are sums over a slice of the row.  All entries are Python
-ints, so counts and moments are exact at any size: arithmetic cannot
-overflow or wrap, it just grows.
+are all a table stores, but for one list of m^k over the table's whole
+band per exponent k that a moment has read and, until a q cell is
+first read, the function that forms the q rows (see `StatTable`).
+Each row is padded with three zeros on either side (the q row below
+only), so cell m of weight n sits at index m + n + 3, and a read
+clamps m's index to the row's ends, where the row is constant (0, or
+p(n) at the top of a q row).  Cumulations are sums over a slice of the
+row.  All entries are Python ints, so counts and moments are exact at
+any size: arithmetic cannot overflow or wrap, it just grows.
 
 Readers that want a whole weight take it whole: `rank_row` and
 `crank_row` copy a stored row, `verify_identities` reads each weight's
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, eq, ge, itemgetter, le, mul, sub
 
 from .partitions import partition_count, partition_count_series
@@ -82,10 +82,11 @@ WEIGHT_ONE_CRANK_ROW = {-1: 1, 0: -1, 1: 1}
 class StatTable:
     """Dense exact tables of N(m, n), M(m, n), and q(m, n) for n <= nmax.
 
-    The stored rows are the whole state, but for the power lists of one
-    weight, which the moments share until a moment of another weight is
-    read.  Both builders hand over the q rows as a zero-argument function
-    that returns them; the first q read calls it once, pads its rows and
+    The stored rows are the whole state, but for the power lists: one
+    list of m^k over -nmax - 3 <= m <= nmax + 3 per exponent k, formed
+    when a moment first reads k and read by every weight.  Both
+    builders hand over the q rows as a zero-argument function that
+    returns them; the first q read calls it once, pads its rows and
     drops it, so a table nothing asks q of never forms them.  Each
     weight's rank and crank rows carry three zeros on each side and its
     q row three zeros below, so cell m of weight n sits at index
@@ -106,7 +107,7 @@ class StatTable:
         self._crank = [None] + [pad + row + pad for row in crank_rows[1:]]
         self._make_q_rows = make_q_rows  # () -> the q rows, called on the first q read
         self._spt = spt_tallies  # _spt[n]: smallest-part tally, or None
-        self._powers = (None, {})  # (n, {k: m^k over -n - 3 <= m <= n + 3})
+        self._powers = {}  # {k: m^k over -nmax - 3 <= m <= nmax + 3}
 
     @cached_property
     def _q(self) -> list:
@@ -187,20 +188,15 @@ class StatTable:
 
     # Each moment is one dot product of the stored row with the list of
     # m^k (or |m|), taken at C level: exact ints, whatever the cells hold.
-    # The m^k lists of the last weight read are kept, so the moments a
-    # suite takes of one weight compute each power list once, and m^k for
-    # k > 2 is the product of the m^(k-2) and m^2 lists.
+    # The table keeps one m^k list per k over its whole band, where m sits
+    # at index m + nmax + 3, so row n's cell m at index m + n + 3 pairs
+    # with it from offset nmax - n, and the product stops at the row's end.
 
-    def _power_list(self, k: int, n: int) -> list:
-        """[m^k for -n - 3 <= m <= n + 3]; reading another n drops the last n's."""
-        held, lists = self._powers
-        if held != n:
-            lists = {}
-            self._powers = (n, lists)
-        if k not in lists:
-            lists[k] = (list(map(mul, self._power_list(k - 2, n), self._power_list(2, n))) if k > 2
-                        else list(map(pow, range(-n - 3, n + 4), repeat(k))))
-        return lists[k]
+    def _power_list(self, k: int, n: int) -> islice:
+        """The table's m^k list from m = -n - 3 on, where row n's padding starts."""
+        if k not in self._powers:
+            self._powers[k] = list(map(pow, range(-self.nmax - 3, self.nmax + 4), repeat(k)))
+        return islice(self._powers[k], self.nmax - n, None)
 
     def moment_rank(self, k: int, n: int) -> int:
         """N_k(n) = sum over m of m^k N(m, n), exactly."""

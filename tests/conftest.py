@@ -10,6 +10,12 @@ def table60():
 
 
 @pytest.fixture(scope="session")
+def table100():
+    # the enumeration oracle over the arithmetic backend's whole range
+    return tables.build(100)
+
+
+@pytest.fixture(scope="session")
 def accel100():
     return tables.build_accelerated(100)
 

@@ -165,11 +165,11 @@ def test_criterion_11_backend_agreement(table60, accel100):
             assert table60.q_count(m, n) == accel100.q_count(m, n), (m, n)
 
 
-def test_criterion_11_backend_agreement_through_100(accel100):
+def test_criterion_11_backend_agreement_through_100(table100, accel100):
     # the same over the arithmetic backend's whole range, on every stored
     # rank, crank and q row, and the enumeration's spt tally against the
     # moment route n p(n) - N_2(n) / 2 on the arithmetic rows
-    enumerated = tables.build(100)
+    enumerated = table100
     for n in range(1, 101):
         assert enumerated._rank[n] == accel100._rank[n], n
         assert enumerated._crank[n] == accel100._crank[n], n

@@ -532,11 +532,16 @@ def test_moments_match_per_cell_definitions(table60, accel100):
 
 
 def test_moments_read_in_interleaved_weight_order(table60, accel100):
-    # the power lists a table holds follow the weight read, in any order
+    # every weight reads its slice of one m^k list per k, in any order
     assert_moments_match_definitions(accel100, [5, 100, 5, 1, 100])
     assert_moments_match_definitions(table60, [5, 60, 5, 1])
-    # and they are one weight's: a bounds pass leaves only its last weight's
-    tables.verify_bounds(accel100)
-    n, lists = accel100._powers
-    assert n == 100 and lists
-    assert all(len(powers) == 2 * n + 7 for powers in lists.values())
+    for t in (accel100, table60):
+        nmax, held = t.nmax, dict(t._powers)
+        assert set(range(7)) <= set(held)
+        for k, powers in held.items():
+            assert len(powers) == 2 * nmax + 7, k
+            assert powers == [(i - nmax - 3)**k for i in range(len(powers))], k
+        # the moments of other weights read the same lists, formed once
+        assert_moments_match_definitions(t, [7, nmax - 1])
+        tables.verify_bounds(t)
+        assert all(t._powers[k] is powers for k, powers in held.items())
