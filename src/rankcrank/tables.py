@@ -49,9 +49,9 @@ Two builders with recorded provenance:
   one shared difference series p(i) - p(i - k), and read back into
   rows; q rows, formed on the table's first q read, for m >= 0 from a
   sum over m-Durfee rectangles of filling series
-  F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running series per m:
-  F_{m,0} counts partitions with parts <= m, and two in-place
-  divisions turn F_{m,j-1} into F_{m,j}.  Negative-m q cells use the
+  F_{m,j} = 1/((q)_{m+j} (q)_j), carried as one running series per
+  width j: F_{m,0} counts partitions with parts <= m, and one in-place
+  division turns F_{m-1,j} into F_{m,j}.  Negative-m q cells use the
   fact that conjugation complements rank-sets: m is in the rank-set of
   a partition iff -m - 1 is not in the rank-set of its conjugate
   (verified exhaustively in the tests).  The accelerated table carries
@@ -416,10 +416,12 @@ def _q_rows(nmax: int) -> list:
     columns beside the rectangle (parts <= m + j) and the rows under it
     (parts <= j).  The j = 0 term is the partitions with parts <= m.
     One running series carries F_{m,0} across all m, divided in place by
-    1 - q^(m+1) once the column of m is done.  A second, per m, carries
-    F_{m,j}: it starts at F_{m,0}, and each step divides by 1 - q^(m+j)
-    and 1 - q^j in place, truncated to the coefficients that term j can
-    still place at some n <= nmax.
+    1 - q^(m+1) once the column of m is done.  A second carries
+    F_{0,j} = 1/((q)_j)^2 across the widths j, two divisions by 1 - q^j
+    per width, and a third carries each width's F_{m,j} across m from
+    F_{0,j}, one division by 1 - q^(m+j) per step.  Each division is in
+    place and truncated to the coefficients that term j can still place
+    at some n <= nmax.
     Entries for m < 0 use the conjugation complement
     q(m, n) = p(n) - q(-m - 1, n).
     """
@@ -427,19 +429,27 @@ def _q_rows(nmax: int) -> list:
     bounded = [1] + [0] * nmax  # F_{m,0}: the partitions with parts <= m
     q_cols = []  # q_cols[m][n] = q(m, n) for 0 <= m <= nmax + 2
     for m in range(nmax + 3):
-        col = bounded[:]
-        fill = bounded[:]
-        j = 1
-        while (offset := j * (m + j + 1)) <= nmax:
-            del fill[nmax - offset + 1:]
-            for k in (m + j, j):
-                for a in range(k, len(fill)):
-                    fill[a] += fill[a - k]
-            col[offset:] = map(add, col[offset:], fill)
-            j += 1
-        q_cols.append(col)
+        q_cols.append(bounded[:])
         for a in range(m + 1, nmax + 1):
             bounded[a] += bounded[a - m - 1]
+    square = [1] + [0] * nmax  # F_{0,j}, from j = 0
+    j = 1
+    # Term j of m starts at n = j(m + j + 1) = nmax - top + jm, so it reads
+    # F_{m,j} to the coefficient top - jm, and m runs while that is >= 0.
+    while (top := nmax - j * (j + 1)) >= 0:
+        del square[top + 1:]
+        for _ in (1, 2):
+            for a in range(j, top + 1):
+                square[a] += square[a - j]
+        fill = square[:]  # F_{m,j}, from m = 0
+        for m in range(top // j + 1):
+            if m:
+                del fill[top - j * m + 1:]
+                for a in range(m + j, len(fill)):
+                    fill[a] += fill[a - m - j]
+            col = q_cols[m]
+            col[-len(fill):] = map(add, col[-len(fill):], fill)  # from n = j(m + j + 1)
+        j += 1
     at = list(zip(*q_cols))  # at[n][m] = q(m, n) for 0 <= m <= nmax + 2
     # m < 0 reads q(-m - 1, n), from m = -n (index n - 1) up to m = -1 (index 0)
     return [None] + [list(map(sub, repeat(ps[n]), at[n][n - 1::-1])) + list(at[n][:n + 3])

@@ -490,14 +490,19 @@ def test_out_of_range_exits_2_before_any_work(capsys, monkeypatch, argv):
 
 def test_console_script_subprocess():
     # run from the directory holding the package under test, which `-m` puts on sys.path
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankcrank", "table", "--stat", "crank",
-         "--n", "4", "--format", "csv"],
-        capture_output=True, text=True, timeout=120,
-        cwd=Path(rankcrank.__file__).parents[1])
+    def console(*argv):
+        return subprocess.run([sys.executable, "-m", "rankcrank", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              cwd=Path(rankcrank.__file__).parents[1])
+
+    proc = console("table", "--stat", "crank", "--n", "4", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,m,M"
     assert "1" in proc.stdout
+    # an out-of-range request leaves through `entrypoint` with the usage exit code
+    proc = console("verify", "--suite", "tau", "--nmax", "61")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage error: ")
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

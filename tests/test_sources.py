@@ -56,7 +56,7 @@ def test_series_backend_uses_no_statistic_or_listing():
     # the accelerated rows come from series alone: no partition is listed,
     # conjugated or measured
     banned = {"rank", "crank", "rank_set_contains", "conjugate", "enumerate_partitions"}
-    for name in ("build_accelerated", "_rows_from_series"):
+    for name in ("build_accelerated", "_rows_from_series", "_q_rows"):
         assert referenced_names(tables_function(name)).isdisjoint(banned), name
 
 

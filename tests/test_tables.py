@@ -290,6 +290,11 @@ def test_accelerated_rows_do_not_depend_on_nmax(accel100):
         assert small._rank[n] == accel100._rank[n], n
         assert small._crank[n] == accel100._crank[n], n
         assert small._q[n] == accel100._q[n], n
+    # every nmax to 12: none or one rectangle width fits, and widths 1, 2, 3 first fit at 2, 6, 12
+    for k in range(1, 13):
+        small = tables.build_accelerated(k)
+        for n in range(1, k + 1):
+            assert small._q[n] == accel100._q[n], (k, n)
 
 
 def test_accelerated_has_no_tally():
