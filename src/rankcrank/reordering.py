@@ -37,7 +37,7 @@ listing behind it, so tau is undefined there.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import countOf, eq, gt, ne, sub
 from typing import NamedTuple
 
@@ -176,13 +176,24 @@ def ospt_via_tau(rmap: ReorderingMap) -> int:
     return _ospt(rmap.cranks, rmap.ranks)
 
 
+def _ospt_by_counts(crank_counts: dict[int, int], rank_counts: dict[int, int]) -> int:
+    """`_ospt(_ascending(crank_counts), _ascending(rank_counts))` from the
+    counts: crank a fills the ascending positions C(a - 1) <= i < C(a) and
+    rank a - 1 fills R(a - 2) <= i < R(a - 1), C and R the cumulative counts,
+    so entry i of the maps below is the overlap at a = values[i + 2]."""
+    values = range(min(keys := [*crank_counts, *rank_counts]) - 1, max(keys) + 1)
+    c, r = (list(accumulate(map(t.get, values, repeat(0)))) for t in (crank_counts, rank_counts))
+    return sum(map(max, repeat(0), map(sub, map(min, c[2:], r[1:]), map(max, c[1:], r))))
+
+
 def ospt_via_statistics(n: int) -> int:
-    """`ospt_via_tau(build_tau(n))` from the streamed pass: tau pairs the
-    i-th smallest crank with the i-th smallest rank under either
-    tie-break, and the ascending lists come from the value counts, as in
-    `_distribute`, with no positions distributed."""
-    (cranks, ranks, _), _ = stream_statistics(n)
-    return _ospt(_ascending(Counter(cranks)), _ascending(Counter(ranks)))
+    """`ospt_via_tau(build_tau(n))` from a batched pass that only counts the
+    cranks and ranks, as tau pairs the i-th smallest crank and rank."""
+    crank_counts, rank_counts, partitions = Counter(), Counter(), enumerate_partitions(n)
+    while batch := list(islice(partitions, _BATCH)):
+        crank_counts.update(map(crank, batch))
+        rank_counts.update(map(rank, batch))
+    return _ospt_by_counts(crank_counts, rank_counts)
 
 
 def fixed_point_check(rmap: ReorderingMap) -> bool:

@@ -32,16 +32,16 @@ Two builders with recorded provenance:
 * `build` tallies the partitions mu into parts >= 2 of each weight
   <= nmax, one part size s at a time: those of weight u into parts
   >= s are those into parts > s plus those of weight u - s with an s
-  appended, so the tallies of u grow by slice adds of those of u - s.
-  The (k, mu_k) tallies are held by part index k, one row over the
-  values mu_k per k; row 0 is the largest-part tally.  An appended s
-  leaves every earlier part where it was, so each level step is one
-  slice add per row.  Every partition of n is such a mu plus a block
-  of ones, and the rank, crank, rank-set and smallest-part count of
-  mu + 1^omega follow in closed form from mu's tallies and omega.  It
-  is the required backend and the oracle for everything else, and it
-  lists no partition: it neither calls `enumerate_partitions` nor
-  reads the series backend.
+  appended.  Level s moves weight u - s into u only for u = s and
+  2s <= u <= nmax, since no partition of 0 < w < s has parts >= s.
+  The (k, mu_k) tallies are held by part index k, one row per k; row
+  0 is the largest-part tally.  An appended s leaves every earlier
+  part where it was, so each step taken is one slice add per row.
+  Every partition of n is such a mu plus a block of ones, and the
+  rank, crank, rank-set and smallest-part count of mu + 1^omega follow
+  in closed form from mu's tallies and omega.  It is the required
+  backend and the oracle for everything else; it lists no partition:
+  it neither calls `enumerate_partitions` nor reads the series backend.
 * `build_accelerated` computes the same cells arithmetically: rank and
   crank rows from sparse alternating series against the reciprocal
   Euler product (which reproduces the weight-1 crank convention by
@@ -265,13 +265,14 @@ def build(nmax: int) -> StatTable:
     largest-part tally.  Level s = nmax, ..., 2 holds these for the
     partitions into parts >= s.  Such a partition of u has no s, and
     was in level s + 1, or is one of weight w = u - s with an s
-    appended: L grows by one, mu_1 stays (the empty partition's becomes
-    s) and the new s sits at index its old L, so row L of u gains, at
-    v = s, the partitions of w of length L.  The parts before it stay
-    where they were, so each row k < w // s of u gains row k of w over
-    v >= s: one slice add per row.  The appended s is the smallest
-    part, so u's multiplicity sum gains the s's of those partitions:
-    one each, plus the s's the partitions of u - s already hold.
+    appended, so level s moves weight u - s into u only for u = s and
+    2s <= u <= nmax: no partition of 0 < w < s has parts >= s.  L grows
+    by one, mu_1 stays (the empty partition's becomes s) and the new s
+    sits at index its old L, so row L of u gains, at v = s, the
+    partitions of w of length L.  The parts before it stay where they
+    were, so each row k < w // s of u gains row k of w over v >= s: one
+    slice add per row.  The appended s is the smallest part, so u's
+    multiplicity sum gains one per partition of w plus the s's they hold.
 
     One sweep over n sums the credits, which start at the row of the
     weight w (and, for the crank, step down at w + mu_k): each row k
@@ -295,7 +296,7 @@ def build(nmax: int) -> StatTable:
     smallest_at = [0] * (nmax + 1)  # smallest-part multiplicities
     for s in range(nmax, 1, -1):
         s_count = [0] * (nmax + 1)  # the s's summed over the partitions of u into parts >= s
-        for u in range(s, nmax + 1):
+        for u in (s, *range(2 * s, nmax + 1)):  # no partition of 0 < w < s has parts >= s
             w = u - s
             s_count[u] = counts[w] + s_count[w]
             smallest_at[u] += s_count[u]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,33 @@ def test_ospt_via_tau_matches_moments(table30):
 def test_ospt_via_statistics_matches_tau():
     for n in range(2, 31):
         assert reordering.ospt_via_statistics(n) == ospt_via_tau(build_tau(n)), n
+
+
+def test_ospt_by_counts_matches_ascending_lists():
+    # count rows with gaps, single values far apart and ranks above or
+    # below every crank; each pair has equal totals, as a weight's do
+    pairs = [
+        ({-3: 2, 0: 1, 4: 3}, {-7: 1, -4: 2, 3: 3}),  # ascending differences 4, 1, 4, 1, 1, 1
+        ({5: 2}, {4: 2}),
+        ({5: 2}, {-5: 2}),
+        ({-5: 1, 9: 1}, {-6: 1, 20: 1}),
+        ({0: 3}, {0: 3}),
+        ({1: 1, 3: 1, 5: 1}, {0: 1, 2: 1, 4: 1}),
+    ]
+    rng = random.Random(33)
+    for _ in range(300):
+        values = rng.sample(range(-15, 16), rng.randint(1, 6))
+        cranks = [rng.choice(values) for _ in range(rng.randint(1, 12))]
+        ranks = [rng.choice(values) + rng.choice((-3, -1, 0, 1, 2)) for _ in cranks]
+        pairs.append((Counter(cranks), Counter(ranks)))
+    expected = [4, 2, 0, 1, 0, 3]
+    for i, (crank_counts, rank_counts) in enumerate(pairs):
+        want = reordering._ospt(reordering._ascending(crank_counts),
+                                reordering._ascending(rank_counts))
+        assert reordering._ospt_by_counts(crank_counts, rank_counts) == want, (crank_counts,
+                                                                                rank_counts)
+        if i < len(expected):
+            assert want == expected[i], i
 
 
 def test_tie_break_changes_pairs_not_counts():

@@ -113,6 +113,26 @@ def test_rows_match_across_nmax_above_direct_tally_range():
                 (own._rank[n], own._crank[n], own._q[n], own._spt[n]), n
 
 
+def test_build_takes_only_the_level_steps_that_hold_partitions(monkeypatch):
+    # no partition of 0 < w < s has parts >= s, so level s moves weight
+    # u - s into u only for u = s and 2s <= u <= nmax: a step with such a w
+    # adds zeros and leaves every row as it is, so only the step count
+    # shows it.  The level loop calls zip once per (s, u) step, and build
+    # calls it nowhere else.
+    steps = []
+
+    def counting_zip(*args):
+        steps.append(None)
+        return zip(*args)
+
+    monkeypatch.setattr(tables, "zip", counting_zip, raising=False)
+    for nmax, expected in ((1, 0), (2, 1), (7, 12), (50, 625)):
+        steps.clear()
+        tables.build(nmax)
+        assert len(steps) == expected == sum(1 + max(0, nmax + 1 - 2 * s)
+                                             for s in range(2, nmax + 1)), nmax
+
+
 def test_build_lists_no_partitions_and_reads_no_series(monkeypatch, table30):
     # the oracle walks its own partitions and stays apart from the series backend
     def refuse(*args):
