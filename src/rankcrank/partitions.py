@@ -9,15 +9,21 @@ empty partition (of 0) is a value, but the statistics reject it.
 Counting is done two independent ways on purpose: `partition_count`
 uses the pentagonal-number recurrence, while `enumerate_partitions`
 streams every partition explicitly.  Tests cross-check one against the
-other.  The map suites (injections, reordering) list partitions with
-`enumerate_partitions`; the table checks and the series backend read
-p(n) from the recurrence, and the enumeration table builder uses
+other.  The listing is made a block at a time over a table of tails,
+the partitions of every weight <= 20 (2,714 tuples, about 0.3 MiB),
+which the first listing builds; beyond the reader's batch a listing
+holds only that table and one block's slice of it, at most p(20)
+references.  The map suites (injections, reordering) list partitions
+with `enumerate_partitions`; the table checks and the series backend
+read p(n) from the recurrence, and the enumeration table builder uses
 neither: it tallies its partitions one part size at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from operator import add
 
 
 def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
@@ -41,42 +47,72 @@ def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of n exactly once, lexicographically decreasing.
+    """Every partition of n exactly once, lexicographically decreasing.
 
-    The first partition is (n,), the last is (1,)*n, and each successor
-    is computed in place: decrement the last part bigger than 1, then
-    redistribute the freed weight greedily.  When that part is a 2, the
-    successor only splits it into 1, 1, an O(1) step (as in Zoghbi and
-    Stojmenovic's ZS1).  Nothing is materialized, so weights with
-    millions of partitions stream fine.
+    The first partition is (n,), the last is (1,)*n.  The listing is a
+    chain of blocks.  A depth-first walk over prefixes, largest next
+    part first and each part at most the one before and the weight
+    left, stops at a prefix once the weight left fits the tail table.
+    The partitions of that weight with no part above the prefix's last
+    are a suffix of the table's listing, and the whole suffix is
+    appended to the prefix in one C-level `map`; a prefix ending in 1
+    has the one completion by ones.  Each tuple is made as the reader
+    takes it, so weights with millions of partitions stream fine.
 
     >>> list(enumerate_partitions(4))
     [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n == 0:
-        yield ()
-        return
-    x = [n]
-    h = 0 if n > 1 else -1  # index of the last part exceeding 1
-    while True:
-        yield tuple(x)
-        if h < 0:
-            return
-        v = x[h] - 1
-        if v == 1:  # a trailing 2 splits into 1, 1 in place
-            x[h] = 1
-            x.append(1)
-            h -= 1
+    _grow_tails(min(n, _TAIL_WEIGHT))
+    if n <= _TAIL_WEIGHT:
+        return iter(_TAILS[n])
+    return chain.from_iterable(_blocks(n))
+
+
+def _blocks(n: int) -> Iterator[Iterable[tuple[int, ...]]]:
+    """The partitions of n > _TAIL_WEIGHT in listing order, a block at a time."""
+    # (prefix, weight left, largest next part): the prefixes still to walk,
+    # each leaving more weight than the table holds; the top comes first
+    stack = [((), n, n)]
+    while stack:
+        prefix, rest, cap = stack.pop()
+        if cap == 1:
+            yield (prefix + (1,) * rest,)
             continue
-        budget = x[h] + (len(x) - 1 - h)  # freed weight: this part plus trailing ones
-        del x[h:]
-        q, rem = divmod(budget, v)
-        x.extend([v] * q)
-        if rem:
-            x.append(rem)
-        h = h + q - 1 + (1 if rem >= 2 else 0)
+        low = rest - _TAIL_WEIGHT  # a next part >= low leaves a tail
+        for part in range(cap, low - 1, -1):
+            yield map(add, repeat(prefix + (part,)), _tails(rest - part, part))
+        if low > 1:
+            stack.append((prefix + (1,), rest - 1, 1))
+            stack += [(prefix + (part,), rest - part, min(part, rest - part))
+                      for part in range(2, min(cap + 1, low))]
+
+
+# The tail table: _TAILS[w] lists the partitions of w lexicographically
+# decreasing, and those with no part above k start at _STARTS[w][k], k <= w.
+# The first listings grow it; importing the module does not.
+_TAIL_WEIGHT = 20
+_TAILS: list[list[tuple[int, ...]]] = [[()]]
+_STARTS: list[list[int]] = [[0]]
+
+
+def _tails(weight: int, cap: int) -> list[tuple[int, ...]]:
+    """The partitions of `weight` with no part above `cap`, from the table."""
+    return _TAILS[weight][_STARTS[weight][min(cap, weight)]:]
+
+
+def _grow_tails(weight: int) -> None:
+    """Extend the tail table through `weight`, each weight from the smaller ones."""
+    while len(_TAILS) <= weight:
+        w = len(_TAILS)
+        tails, starts = [], [0] * (w + 1)
+        for first in range(w, 0, -1):
+            starts[first] = len(tails)
+            tails += map(add, repeat((first,)), _tails(w - first, first))
+        starts[0] = len(tails)
+        _TAILS.append(tails)
+        _STARTS.append(starts)
 
 
 _PCOUNT = [1]  # p(0..k), grown on demand

@@ -18,17 +18,18 @@ facts, plus the bracketing of each position inside its cumulative
 count window and the transfer of the positive-rank sum, are checked
 here for every n in range under both tie-break orders.
 
-The suite holds no partitions.  One streamed pass per weight keeps
-each partition's crank and rank in two int lists, the positions that
-hold (n), and whether the listing strictly lex-decreases, which shows
-that no partition is listed twice.  One counting pass per statistic
-then distributes the listing positions by value, once per weight; both
-tie-breaks' position orders are read from it, with no sort.  Every
-verdict is read from those lists; the weight is listed again only to
-count its distinct partitions when the listing does not strictly
-decrease, and for the witness of a failing check.  `build_tau`, which
-the `tau` command reads, is the same pass and distribution for one
-weight and tie-break; its map lists the partitions on each read.
+The suite holds no partitions and no list in listing order.  One
+streamed pass per weight distributes the listing positions by crank
+and by rank as it goes (distribution counting): each batch's positions
+join the runs of their values.  The pass also keeps the positions that
+hold (n) and whether the listing strictly lex-decreases, which shows
+that no partition is listed twice.  Both tie-breaks' position orders
+are read from the runs, with no sort.  Every verdict is read from
+those lists; the weight is listed again only to count its distinct
+partitions when the listing does not strictly decrease, and for the
+witness of a failing check.  `build_tau`, which the `tau` command
+reads, is the same pass for one weight and tie-break; its map lists
+the partitions on each read.
 
 tau needs n >= 2: the weight-1 crank table convention has no partition
 listing behind it, so tau is undefined there.
@@ -36,7 +37,7 @@ listing behind it, so tau is undefined there.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import countOf, eq, gt, ne, sub
 from typing import NamedTuple
@@ -75,53 +76,49 @@ class ReorderingMap(NamedTuple):
         return list(enumerate_partitions(self.n))
 
 
-# (cranks, ranks, positions of (n)), all in listing order
-_Listing = tuple[list[int], list[int], list[int]]
 # (runs of listing positions by ascending value, the values in ascending order)
 _Runs = tuple[list[list[int]], list[int]]
 # (crank runs, rank runs, positions of (n))
 _Distributed = tuple[_Runs, _Runs, list[int]]
 
 
-def stream_statistics(n: int) -> tuple[_Listing, bool]:
-    """The cranks and ranks of the partitions of n in enumeration order,
-    the positions in that order that hold (n), and whether the order is
-    strictly lex-decreasing: one pass that holds a batch of partitions
-    at a time."""
+def stream_statistics(n: int) -> tuple[_Distributed, bool]:
+    """The partitions of n distributed by crank and by rank as they
+    stream (distribution counting), the listing positions that hold (n),
+    and whether the listing strictly lex-decreases: one pass that holds
+    a batch of partitions at a time.
+
+    For each statistic, the runs of listing positions that hold each
+    value, in ascending value order and each run in listing order, and
+    the statistic in ascending order.  Each batch's positions are one
+    list that both statistics append from, so the runs share its int
+    objects."""
     partitions = enumerate_partitions(n)
-    cranks, ranks, tops = [], [], []
-    # one int object per value: CPython shares only -5..256, so every
-    # crank or rank below -5 would otherwise be an object of its own
-    shared = {v: v for v in range(-n, n + 1)}
+    # keyed by the values that occur, so any int a statistic returns has a run
+    crank_runs, rank_runs, tops = defaultdict(list), defaultdict(list), []
     top = (n,)
-    descending, last = True, (n + 1,)  # (n + 1) sorts above every partition of n
+    descending, last, listed = True, (n + 1,), 0  # (n + 1) sorts above every partition of n
     while batch := list(islice(partitions, _BATCH)):
-        tops += compress(count(len(cranks)), map(eq, batch, repeat(top)))
-        values = list(map(crank, batch))
-        cranks += map(shared.get, values, values)
-        values = list(map(rank, batch))
-        ranks += map(shared.get, values, values)
+        positions = list(range(listed, listed + len(batch)))
+        listed += len(batch)
+        tops += compress(positions, map(eq, batch, repeat(top)))
+        deque(map(list.append, map(crank_runs.__getitem__, map(crank, batch)), positions),
+              maxlen=0)
+        deque(map(list.append, map(rank_runs.__getitem__, map(rank, batch)), positions),
+              maxlen=0)
         descending = descending and all(map(gt, chain((last,), batch), batch))
         last = batch[-1]
-    return (cranks, ranks, tops), descending
+        # one batch of tuples at a time: the position ints kept from each
+        # batch hold open the memory of the tuples listed next to them, so
+        # a second live batch raises the peak (1.8 MiB at nmax 50)
+        del batch
+    return (_ascending_runs(crank_runs), _ascending_runs(rank_runs), tops), descending
 
 
-def _distribute(listing: _Listing) -> _Distributed:
-    """A weight's listing distributed by value (distribution counting):
-    for crank and for rank, the runs of listing positions that hold each
-    value, in ascending value order and each run in listing order, and
-    the statistic in ascending order.  Both statistics draw their
-    positions from one list, so the runs share its int objects."""
-    cranks, ranks, tops = listing
-    order = list(range(len(cranks)))
-    return _runs(cranks, order), _runs(ranks, order), tops
-
-
-def _runs(values: list[int], order: list[int]) -> _Runs:
-    # keyed by the values that occur, so any int a statistic returns has a run
-    runs = {v: [] for v in sorted(set(values))}
-    deque(map(list.append, map(runs.__getitem__, values), order), maxlen=0)
-    return list(runs.values()), _ascending({v: len(run) for v, run in runs.items()})
+def _ascending_runs(runs: dict[int, list[int]]) -> _Runs:
+    """A statistic's runs in ascending value order, and the statistic ascending."""
+    values = sorted(runs)
+    return [runs[v] for v in values], _ascending({v: len(runs[v]) for v in values})
 
 
 def _ascending(counts: dict[int, int]) -> list[int]:
@@ -150,8 +147,8 @@ def _tau(n: int, tie_break: str, distributed: _Distributed) -> ReorderingMap:
 
 
 def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
-    """tau for weight n (n >= 2), from the suite's own streamed pass and
-    distribution; the partitions are listed on each read.
+    """tau for weight n (n >= 2), from the suite's own streamed pass; the
+    partitions are listed on each read.
 
     The enumeration order is already lexicographically decreasing, so
     the listing distributed by crank and by rank gives the lex-descending
@@ -162,7 +159,7 @@ def build_tau(n: int, tie_break: str = "lex-descending") -> ReorderingMap:
         raise ValueError("tau needs n >= 2; the weight-1 table row is a convention only")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    return _tau(n, tie_break, _distribute(stream_statistics(n)[0]))
+    return _tau(n, tie_break, stream_statistics(n)[0])
 
 
 def _ospt(cranks: list[int], ranks: list[int]) -> int:
@@ -260,9 +257,9 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
     positive-rank sum through tau; and that ospt via tau matches the
     moment route (hence is tie-break independent).
 
-    Each weight is streamed once (`stream_statistics`) and its positions
-    distributed by crank and by rank once (`_distribute`), which gives
-    both tie-breaks' maps; every check is one statement per weight and
+    Each weight is streamed once (`stream_statistics`), which
+    distributes its positions by crank and by rank and gives both
+    tie-breaks' maps; every check is one statement per weight and
     tie-break, read from the weight's crank and rank lists.  A listing
     of p(n) entries that strictly lex-decreases holds each of them once;
     any other listing is listed again to count its distinct partitions.  tau fixes (n) when one
@@ -286,12 +283,9 @@ def verify_reordering(nmax: int, table) -> VerifyReport:
         raise ValueError(f"table covers n <= {table.nmax}, need {nmax}")
     rec = CheckRecorder()
     for n in range(2, nmax + 1):
-        listing, descending = stream_statistics(n)
+        distributed, descending = stream_statistics(n)
         # the listing must hold each of the p(n) partitions exactly once
-        listed, pn = len(listing[0]), partition_count(n)
-        # the maps read only the distribution, so the listing's lists go now
-        distributed = _distribute(listing)
-        del listing
+        listed, pn = len(distributed[0][1]), partition_count(n)
         distinct = listed if descending else len(set(enumerate_partitions(n)))
         crank_row, rank_row = table.crank_row(n), table.rank_row(n)
         expected_sum = sum(m * table.rank_count(m, n) for m in range(1, n + 1))

@@ -273,6 +273,8 @@ def build(nmax: int) -> StatTable:
     were, so each row k < w // s of u gains row k of w over v >= s: one
     slice add per row.  The appended s is the smallest part, so u's
     multiplicity sum gains one per partition of w plus the s's they hold.
+    Their rank tally is 0 below index w + s - w // s, as mu_1 >= s and
+    L <= w // s, so its slice add starts there.
 
     One sweep over n sums the credits, which start at the row of the
     weight w (and, for the crank, step down at w + mu_k): each row k
@@ -301,9 +303,10 @@ def build(nmax: int) -> StatTable:
             s_count[u] = counts[w] + s_count[w]
             smallest_at[u] += s_count[u]
             counts[u] += counts[w]
-            if w:
+            if w:  # the mu of w have mu_1 >= s and L <= w // s
+                lo = w + s - w // s
                 dst = rank_at[u]
-                dst[s - 1:s - 1 + 2 * w] = map(add, dst[s - 1:], rank_at[w])
+                dst[s - 1 + lo:s - 1 + 2 * w] = map(add, dst[s - 1 + lo:], rank_at[w][lo:])
             else:  # mu = (s)
                 rank_at[u][2 * s - 1] += 1
             top = w // s  # the most parts a partition of w into parts >= s has

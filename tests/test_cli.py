@@ -506,14 +506,16 @@ def test_console_script_subprocess():
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # the records are named tuples, so starting the CLI compiles neither module
+    # the records are named tuples, so starting the CLI compiles neither
+    # module; the partition tail table holds only weight 0 until a listing
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rankcrank.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "import sys, rankcrank.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)));"
+         " print(rankcrank.partitions._TAILS)"],
         capture_output=True, text=True, timeout=120,
         cwd=Path(rankcrank.__file__).parents[1])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[[()]]\n"
 
 
 # SHA-256 of the stdout of each desk-scale request kind at nmax 100, so

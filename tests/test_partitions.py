@@ -1,3 +1,5 @@
+from operator import gt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,8 +103,22 @@ def _lex_descending(n, largest):
 
 
 def test_enumeration_matches_recursive_generator():
-    for n in range(0, 31):
-        got = list(enumerate_partitions(n))  # compared only once the generator is done
-        assert got == list(_lex_descending(n, n))
-        assert all(type(p) is tuple and type(conjugate(p)) is tuple for p in got)
-        assert len({id(p) for p in got}) == len(got)
+    # past the tail table's weight (20), through prefixes ending in 1 that
+    # leave more than it holds, and from n = 43 = 2 * 20 + 3, the first
+    # weight where a prefix's last part, (22,), exceeds the weight it
+    # leaves above the table, so the next part is capped by the weight left
+    for n in range(0, 46):
+        got = list(enumerate_partitions(n))  # compared only once the listing is done
+        assert got == list(_lex_descending(n, n)), n
+        assert set(map(type, got)) == {tuple}
+        assert len(set(map(id, got))) == len(got)
+    assert all(type(conjugate(p)) is tuple for n in range(31) for p in enumerate_partitions(n))
+
+
+@pytest.mark.parametrize("n", range(41, 51))
+def test_large_listings_count_descend_and_hold_distinct_tuples(n):
+    got = list(enumerate_partitions(n))
+    assert len(got) == partition_count(n)
+    assert all(map(gt, got, got[1:]))
+    assert set(map(type, got)) == {tuple}
+    assert len(set(map(id, got))) == len(got)

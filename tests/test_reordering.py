@@ -205,9 +205,16 @@ HAND_MADE_LISTINGS = {
     *(pytest.param(listing_statistics(n), id=f"n-{n}") for n in range(1, 13)),
     *(pytest.param(listing, id=name) for name, listing in HAND_MADE_LISTINGS.items()),
 ])
-def test_counting_order_matches_literal_sorts(statistics):
+def test_counting_order_matches_literal_sorts(monkeypatch, statistics):
+    # the streamed pass lists stand-ins (i,) whose statistics are the i-th
+    # entries, in batches of 5 so that runs cross batch boundaries
     cranks, ranks = statistics
-    distributed = reordering._distribute((cranks, ranks, []))
+    monkeypatch.setattr(reordering, "enumerate_partitions",
+                        lambda n: iter([(i,) for i in range(len(cranks))]))
+    monkeypatch.setattr(reordering, "crank", lambda lam: cranks[lam[0]])
+    monkeypatch.setattr(reordering, "rank", lambda lam: ranks[lam[0]])
+    monkeypatch.setattr(reordering, "_BATCH", 5)
+    distributed, _ = reordering.stream_statistics(len(cranks))
     for tie_break in TIE_BREAKS:
         order = list(range(len(cranks)))
         if tie_break == "lex-ascending":
